@@ -17,7 +17,8 @@ from math import isqrt
 from .errors import ZeckGodelError
 
 # Dense memo table is only grown up to this index; beyond it one-off values
-# come from fast doubling (a full table to 2**16 would cost ~190 MB).
+# come from fast doubling (a full table to 2**16 would cost ~190 MB), and the
+# conversions in zeckendorf use the table as the leaf of a divide and conquer.
 FIB_TABLE_CAP = 1 << 14
 
 # 10^4-scaled lower bound for log2(phi) = 0.69424...; dividing bit counts by
@@ -27,6 +28,10 @@ _LOG2_PHI_E4 = 6942
 
 _fib_table = [1, 2]  # _fib_table[i] == F_{i+1}
 _fib_lock = threading.Lock()
+# power of two m -> (F_m, F_{m-1}, F_{m-2}); the divide-and-conquer
+# conversions split only there, so this holds one entry per bit of the
+# largest index seen
+_split_fibs: dict[int, tuple[int, int, int]] = {}
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
@@ -52,11 +57,30 @@ def fib(e: int) -> int:
     if e < 1:
         raise ZeckGodelError(f"Fibonacci index must be >= 1, got {e}")
     if e <= FIB_TABLE_CAP:
-        if e > len(_fib_table):
-            _extend_table(e)
-        return _fib_table[e - 1]
+        return fib_table(e)[e - 1]
     # shifted convention: F_e here is the classical F(e+1)
     return _fib_pair(e)[1]
+
+
+def fib_table(e: int) -> list[int]:
+    """The shared memo list [F_1, F_2, ...], grown to hold at least F_e.
+
+    Callers only read it; e must not exceed FIB_TABLE_CAP.
+    """
+    if e > len(_fib_table):
+        _extend_table(e)
+    return _fib_table
+
+
+def split_fibs(m: int) -> tuple[int, int, int]:
+    """(F_m, F_{m-1}, F_{m-2}) for a power of two m >= 2, with F_0 = 1; cached."""
+    fibs = _split_fibs.get(m)
+    if fibs is None:
+        if m < 2 or m & (m - 1):
+            raise ZeckGodelError(f"split point must be a power of two >= 2, got {m}")
+        a, b = _fib_pair(m)  # classical (F(m), F(m+1)) == shifted (F_{m-1}, F_m)
+        fibs = _split_fibs.setdefault(m, (b, a, b - a))
+    return fibs
 
 
 def max_fib_index_le(n: int) -> int:
@@ -66,12 +90,12 @@ def max_fib_index_le(n: int) -> int:
     if n <= 2:
         return n
     if _fib_table[-1] < n and len(_fib_table) < FIB_TABLE_CAP:
-        _extend_table(min(FIB_TABLE_CAP, _index_overestimate(n)))
+        _extend_table(min(FIB_TABLE_CAP, fib_index_bound(n)))
     if n <= _fib_table[-1]:
         return bisect_right(_fib_table, n)
     # beyond the table: start near the answer and walk to F_e <= n < F_{e+1}
-    e = _index_overestimate(n)
-    a, b = fib_pair_at(e)
+    e = fib_index_bound(n)
+    a, b = _fib_pair(e + 1)  # classical (F(e+1), F(e+2)) == shifted (F_e, F_{e+1})
     while a > n:
         a, b = b - a, a
         e -= 1
@@ -81,16 +105,10 @@ def max_fib_index_le(n: int) -> int:
     return e
 
 
-def _index_overestimate(n: int) -> int:
+def fib_index_bound(n: int) -> int:
+    """An index e, a few above max_fib_index_le(n), so that n < F_{e+1}."""
     # log2(F_e) ~ 0.694*e - 0.47, so bits(n)/log2(phi) + 4 always overshoots
     return n.bit_length() * 10000 // _LOG2_PHI_E4 + 4
-
-
-def fib_pair_at(e: int) -> tuple[int, int]:
-    """(F_e, F_{e+1}) in the shifted convention; used by descending decoders."""
-    if e < 1:
-        raise ZeckGodelError(f"Fibonacci index must be >= 1, got {e}")
-    return _fib_pair(e + 1)  # classical (F(e+1), F(e+2))
 
 
 def cantor_pair(x: int, y: int) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from .errors import CodeTooLargeError, InvalidSupportError, NotSequenceCodeError
-from .numeric import cantor_pair, cantor_unpair, fib
-from .zeckendorf import is_valid_support, z_decode
+from .numeric import cantor_pair, cantor_unpair
+from .zeckendorf import fib_sum, is_valid_support, z_decode
 
 # Largest support index for which to_number will build the exact integer.
 # F_e has ~0.694*e bits, so this cap corresponds to ~23-Mbit numbers.
@@ -84,7 +84,7 @@ def to_number(c: "SeqCode | int", max_index: int | None = None) -> int:
             f"exceeds threshold {cap} (~{est} bits)",
             bits_estimate=est,
         )
-    value = sum(fib(e) for e in c.support)
+    value = fib_sum(c.support)
     object.__setattr__(c, "number", value)  # idempotent cache fill
     return value
 

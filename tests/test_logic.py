@@ -311,3 +311,12 @@ def test_godel_sentence_size_linear_in_bits():
     # at most ~5 symbols per bit
     assert seq_len(g) <= 5 * bits + 16
     assert seq_len(g) >= bits  # numerals cannot be shorter than the bit count
+
+
+def test_proof_code_of_a_100_bit_numeral():
+    # formula codes here reach support index ~8*10^5, far past the Fibonacci
+    # table, so encoding and checking both run the divide-and-conquer paths
+    n = random.Random(100).getrandbits(99) | 1 << 99
+    num = numeral(n)
+    assert check_proof(encode_proof([Eq(num, num)]))
+    assert not check_proof(encode_proof([Eq(num, Succ(num))]))

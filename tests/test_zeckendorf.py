@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zeckgodel.numeric as numeric
 from zeckgodel.errors import InvalidSupportError
 from zeckgodel.numeric import fib, zeck_length_bound
+from zeckgodel.seqcode import SeqCode, to_number
 from zeckgodel.zeckendorf import is_valid_support, z_decode, z_encode
 
 from helpers import fib_list, greedy_support
@@ -97,4 +99,60 @@ def test_decode_beyond_table_cap():
 def test_roundtrip_property(n):
     support = z_decode(n)
     assert is_valid_support(support)
+    assert z_encode(support) == n
+
+
+def _random_support(rng, top):
+    support, e = [], top
+    while e >= 1:
+        if e == top or rng.random() < 0.3:
+            support.append(e)
+            e -= 2
+        else:
+            e -= 1
+    return support
+
+
+def test_conversions_match_oracles_across_the_table_cap():
+    # tops from well inside the table to just past 2^15: the table leaf alone,
+    # one split at k = 2^14, and splits at 2^15 and then 2^14
+    k = numeric.FIB_TABLE_CAP
+    fibs = fib_list(2 * k + 8)
+    rng = random.Random(2014)
+    tops = [1_000, 9_000, k - 1, k, k + 1, k + 2, 20_000, 30_000, 2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 7]
+    supports = [_random_support(rng, top) for top in tops]
+    # the seams: k+1 with and without k-1 below it, k+2 over k, the same at 2k
+    supports += [
+        [k + 1],
+        [30_000, k + 1, k - 1, 3],
+        [30_000, k + 1, 7],
+        [30_000, k + 2, k, 1],
+        [2 * k + 7, 2 * k + 1, 2 * k - 1, k + 1, k - 1],
+    ]
+    for support in supports:
+        n = sum(fibs[e - 1] for e in support)
+        assert z_encode(support) == n
+        assert to_number(SeqCode(tuple(support))) == n
+        assert list(z_decode(n)) == greedy_support(n)
+    edges = [fibs[e - 1] + d for e in (k, k + 1, 2 * k, 2 * k + 1) for d in (-1, 0, 1)]
+    for m in (k, 2 * k):
+        lucas = fibs[m - 1] + fibs[m - 3]  # L(m) = F_m + F_{m-2}, the quotient's divisor at split m
+        edges += [lucas - 1, lucas, lucas + 1]
+    for n in edges:
+        assert list(z_decode(n)) == greedy_support(n)
+
+
+def test_split_cache_holds_only_powers_of_two():
+    z_decode(fib(3 * numeric.FIB_TABLE_CAP + 5) + 7)
+    z_encode([5 * numeric.FIB_TABLE_CAP + 3, 2 * numeric.FIB_TABLE_CAP + 1, 4])
+    keys = list(numeric._split_fibs)
+    assert keys and all(m & (m - 1) == 0 for m in keys)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=60_000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+def test_roundtrip_property_past_the_table(n):
+    support = z_decode(n)
+    assert is_valid_support(support)
+    assert fib(support[0]) <= n < fib(support[0] + 1)
     assert z_encode(support) == n
