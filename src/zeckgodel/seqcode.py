@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from .errors import CodeTooLargeError, InvalidSupportError, NotSequenceCodeError
-from .numeric import cantor_pair, cantor_unpair
+from .numeric import cantor_unpair
 from .zeckendorf import fib_sum, is_valid_support, z_decode
 
 # Largest support index for which to_number will build the exact integer.
@@ -91,10 +91,9 @@ def to_number(c: "SeqCode | int", max_index: int | None = None) -> int:
 
 def seq_encode(items: Sequence[int]) -> SeqCode:
     """Code of [a_1, ..., a_m]; the empty sequence codes to 0."""
-    indices = sorted(
-        (2 * cantor_pair(a, i) + 1 for i, a in enumerate(items, start=1)),
-        reverse=True,
-    )
+    # 2 * cantor_pair(a, i) + 1, inlined: a call per item would cost more than the arithmetic
+    indices = [(a + i) * (a + i + 1) + 2 * a + 1 for i, a in enumerate(items, start=1)]
+    indices.sort(reverse=True)
     return SeqCode(tuple(indices), 0 if not indices else None)
 
 

@@ -5,11 +5,18 @@ variable's code is replaced, bound ones included.  ``sub_free`` respects
 binders.  Both work on symbol-code lists and re-encode with renumbered
 positions, so outputs are always valid sequence codes and no step recurses
 over the (possibly enormous) term structure.
+
+Validation happens once, at the public entry: each code a caller passes in
+is decoded and parsed a single time, and the internal steps splice the
+symbol codes that check returned.  ``diag`` and ``fixed_point`` take the
+numeral's symbol codes straight from its flattening and do not re-check the
+diagonal code m, a wff by construction, so no code the library has just
+built is decoded again.
 """
 
 from __future__ import annotations
 
-from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
+from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError, ZeckGodelError
 from .seqcode import SeqCode, as_code, bits_estimate, seq_decode, seq_encode, to_number
 from .syntax import (
     _FORM_SLOTS,
@@ -17,40 +24,46 @@ from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
     DiagFn,
+    Formula,
+    Term,
     Var,
-    encode_syntax,
-    is_term_code,
-    is_wff_code,
+    flatten,
     numeral,
+    parse,
 )
 
 # Diagonalization refuses to build numerals beyond this many bits.
 DEFAULT_NUMERAL_BIT_LIMIT = 1 << 21
 
 
+def _validated(code: SeqCode, category: type, alphabet: Alphabet) -> list[int]:
+    """Symbol codes of ``code``, decoded once; raises unless it codes a ``category``."""
+    try:
+        codes = seq_decode(code)
+        node = parse([alphabet.symbol_of(a) for a in codes])
+    except (ZeckGodelError, ValueError):  # ValueError: int/str digit limit on huge variables
+        node = None
+    if not isinstance(node, category):
+        if category is Formula:
+            raise NotWffCodeError("not a wff code")
+        raise NotTermCodeError("not a term code")
+    return codes
+
+
 def _checked(formula_code, term_code, alphabet):
     fc = as_code(formula_code)
     tc = as_code(term_code)
-    if not is_wff_code(fc, alphabet):
-        raise NotWffCodeError("not a wff code")
-    if not is_term_code(tc, alphabet):
-        raise NotTermCodeError("not a term code")
-    return fc, tc
+    return _validated(fc, Formula, alphabet), _validated(tc, Term, alphabet)
 
 
-def sub_z(
-    formula_code: "SeqCode | int",
-    term_code: "SeqCode | int",
-    var: int = 0,
-    alphabet: Alphabet | None = None,
-) -> SeqCode:
-    """Replace every occurrence of v_var (bound ones too) and re-encode."""
-    alphabet = alphabet or DEFAULT_ALPHABET
-    fc, tc = _checked(formula_code, term_code, alphabet)
-    target = alphabet.var_code(var)
-    replacement = seq_decode(tc)
+def _codes_of(node: "Term | Formula", alphabet: Alphabet) -> list[int]:
+    return [alphabet.code_of(s) for s in flatten(node)]
+
+
+def _splice(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
+    """Code of ``codes`` with every ``target`` replaced by ``replacement``."""
     out: list[int] = []
-    for a in seq_decode(fc):
+    for a in codes:
         if a == target:
             out.extend(replacement)
         else:
@@ -58,19 +71,10 @@ def sub_z(
     return seq_encode(out)
 
 
-def sub_free(
-    formula_code: "SeqCode | int",
-    term_code: "SeqCode | int",
-    var: int = 0,
-    alphabet: Alphabet | None = None,
-) -> SeqCode:
-    """Replace only free occurrences of v_var; agrees with sub_z off binders."""
-    alphabet = alphabet or DEFAULT_ALPHABET
-    fc, tc = _checked(formula_code, term_code, alphabet)
-    target = alphabet.var_code(var)
-    replacement = seq_decode(tc)
-    values = seq_decode(fc)
-
+def _free_spliced(
+    values: list[int], target: int, replacement: list[int], alphabet: Alphabet
+) -> list[int]:
+    """``values`` with only the free occurrences of ``target`` replaced."""
     out: list[int] = []
     # frames: [pending subtree operands, whether this frame shadows the target]
     frames: list[list] = []
@@ -107,7 +111,40 @@ def sub_free(
             frames.pop()
             if frames:
                 frames[-1][0] -= 1
-    return seq_encode(out)
+    return out
+
+
+def _numeral_codes(c: SeqCode, max_bits: int, alphabet: Alphabet) -> list[int]:
+    """Symbol codes of the numeral for c's value; refuses past ``max_bits``."""
+    if bits_estimate(c) > max_bits:
+        raise NumeralTooLargeError(
+            f"numeral too large: code is ~{bits_estimate(c)} bits, limit {max_bits}"
+        )
+    return _codes_of(numeral(to_number(c, max_index=c.max_index)), alphabet)
+
+
+def sub_z(
+    formula_code: "SeqCode | int",
+    term_code: "SeqCode | int",
+    var: int = 0,
+    alphabet: Alphabet | None = None,
+) -> SeqCode:
+    """Replace every occurrence of v_var (bound ones too) and re-encode."""
+    alphabet = alphabet or DEFAULT_ALPHABET
+    codes, replacement = _checked(formula_code, term_code, alphabet)
+    return _splice(codes, alphabet.var_code(var), replacement)
+
+
+def sub_free(
+    formula_code: "SeqCode | int",
+    term_code: "SeqCode | int",
+    var: int = 0,
+    alphabet: Alphabet | None = None,
+) -> SeqCode:
+    """Replace only free occurrences of v_var; agrees with sub_z off binders."""
+    alphabet = alphabet or DEFAULT_ALPHABET
+    codes, replacement = _checked(formula_code, term_code, alphabet)
+    return seq_encode(_free_spliced(codes, alphabet.var_code(var), replacement, alphabet))
 
 
 def diag(
@@ -119,14 +156,8 @@ def diag(
     """Substitute the formula's own value, as a numeral, for its free variable."""
     alphabet = alphabet or DEFAULT_ALPHABET
     c = as_code(code)
-    if not is_wff_code(c, alphabet):
-        raise NotWffCodeError("not a wff code")
-    if bits_estimate(c) > max_bits:
-        raise NumeralTooLargeError(
-            f"numeral too large: code is ~{bits_estimate(c)} bits, limit {max_bits}"
-        )
-    value = to_number(c, max_index=c.max_index)
-    return sub_z(c, encode_syntax(numeral(value), alphabet), var, alphabet)
+    codes = _validated(c, Formula, alphabet)
+    return _splice(codes, alphabet.var_code(var), _numeral_codes(c, max_bits, alphabet))
 
 
 def fixed_point(
@@ -142,12 +173,9 @@ def fixed_point(
     """
     alphabet = alphabet or DEFAULT_ALPHABET
     pc = as_code(phi_code)
-    inner = encode_syntax(DiagFn(Var(var)), alphabet)
-    m = sub_free(pc, inner, var, alphabet)
-    if bits_estimate(m) > max_bits:
-        raise NumeralTooLargeError(
-            f"numeral too large: code is ~{bits_estimate(m)} bits, limit {max_bits}"
-        )
-    value = to_number(m, max_index=m.max_index)
-    psi = sub_z(m, encode_syntax(numeral(value), alphabet), var, alphabet)
+    inner = _codes_of(DiagFn(Var(var)), alphabet)
+    target = alphabet.var_code(var)
+    theta = _free_spliced(_validated(pc, Formula, alphabet), target, inner, alphabet)
+    m = seq_encode(theta)
+    psi = _splice(theta, target, _numeral_codes(m, max_bits, alphabet))
     return psi, m

@@ -19,7 +19,7 @@ from zeckgodel.seqcode import (
     to_number,
 )
 
-from helpers import decode_attempt, seq_number_oracle
+from helpers import decode_attempt, pair_oracle, seq_number_oracle
 
 
 def test_paper_example_indices():
@@ -173,4 +173,13 @@ def test_as_code_coercion():
 @settings(max_examples=300)
 @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=20))
 def test_roundtrip_property(seq):
+    assert seq_decode(seq_encode(seq)) == seq
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=0, max_value=300) | st.integers(min_value=2**64, max_value=2**200), max_size=24))
+def test_support_indices_are_odd_pairings(seq):
+    # proof codes nest bignum items, so the items run past 2^64 too
+    indices = seq_encode(seq).support
+    assert indices == tuple(sorted((2 * pair_oracle(a, i) + 1 for i, a in enumerate(seq, start=1)), reverse=True))
     assert seq_decode(seq_encode(seq)) == seq

@@ -1,14 +1,17 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from zeckgodel.errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
-from zeckgodel.seqcode import is_code, seq_decode, seq_len, to_number
+from zeckgodel.seqcode import is_code, seq_decode, seq_encode, seq_len, to_number
 from zeckgodel.substitution import diag, fixed_point, sub_free, sub_z
 from zeckgodel.syntax import (
     DEFAULT_ALPHABET,
+    Alphabet,
     DiagFn,
     Eq,
+    Exists,
     Forall,
     Imp,
     Neg,
@@ -19,11 +22,12 @@ from zeckgodel.syntax import (
     decode_syntax,
     encode_syntax,
     flatten,
+    is_term_code,
     is_wff_code,
     numeral,
 )
 
-from helpers import random_formula, random_term, seq_number_oracle
+from helpers import pair_oracle, random_formula, random_term, seq_number_oracle
 
 S0 = Succ(Zero())
 
@@ -181,3 +185,102 @@ def test_diag_length_accounting():
     occurrences = seq_decode(fc).count(DEFAULT_ALPHABET.var_code(0))
     num_len = len(flatten(numeral(to_number(fc))))
     assert seq_len(diag(fc)) == seq_len(fc) + occurrences * (num_len - 1)
+
+
+def test_fixed_point_errors():
+    with pytest.raises(NotWffCodeError):
+        fixed_point(encode_syntax(Succ(Zero())))  # a term
+    with pytest.raises(NotWffCodeError):
+        fixed_point(2)  # support (2,): not a sequence code
+    with pytest.raises(NotWffCodeError):
+        fixed_point(0)  # the empty sequence
+    with pytest.raises(NotWffCodeError):
+        fixed_point(seq_encode([14]))  # 14 is no symbol of the default alphabet
+    with pytest.raises(NumeralTooLargeError):
+        fixed_point(encode_syntax(Eq(Var(0), Var(0))), max_bits=16)
+
+
+def test_sub_free_precondition_errors():
+    wff = encode_syntax(Eq(Var(0), Var(0)))
+    with pytest.raises(NotWffCodeError):
+        sub_free(encode_syntax(Succ(Zero())), encode_syntax(Zero()))
+    with pytest.raises(NotWffCodeError):
+        sub_free(2, encode_syntax(Zero()))
+    with pytest.raises(NotTermCodeError):
+        sub_free(wff, encode_syntax(Eq(Zero(), Zero())))
+    with pytest.raises(NotTermCodeError):
+        sub_free(wff, 2)
+
+
+
+def test_entry_checks_agree_with_predicates_on_a_huge_variable():
+    # naming v_i for a 5,000-digit i trips Python's int/str digit limit where
+    # one is set; the entry check must then refuse as is_term_code does
+    huge = seq_encode([10**5000])
+    wff = encode_syntax(Eq(Var(0), Var(0)))
+    if is_term_code(huge):
+        assert is_code(sub_free(wff, huge))
+    else:
+        with pytest.raises(NotTermCodeError):
+            sub_free(wff, huge)
+
+
+# --- differential check against the composition built from public steps -----
+
+def _support_oracle(values):
+    return tuple(sorted((2 * pair_oracle(a, i) + 1 for i, a in enumerate(values, start=1)), reverse=True))
+
+
+def _spliced(values, target, replacement):
+    out = []
+    for a in values:
+        out.extend(replacement) if a == target else out.append(a)
+    return out
+
+
+def _free_subst(node, var, t):
+    """AST-level substitution of t for the free v_var (recursive: small ASTs only)."""
+    if isinstance(node, Var):
+        return t if node.index == var else node
+    if isinstance(node, (Forall, Exists)):
+        return node if node.var == var else type(node)(node.var, _free_subst(node.body, var, t))
+    return type(node)(*(_free_subst(getattr(node, f.name), var, t) for f in fields(node)))
+
+
+def _shuffled_alphabet(seed):
+    glyphs = list(DEFAULT_ALPHABET.base)
+    random.Random(seed).shuffle(glyphs)
+    return Alphabet(base={g: k for k, g in enumerate(glyphs, start=3)}, offset=40)
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, _shuffled_alphabet(5)], ids=["default", "offset40"])
+def test_substitution_matches_old_composition(alphabet):
+    rng = random.Random(2024)
+
+    def codes(node):
+        return [alphabet.code_of(s) for s in flatten(node)]
+
+    for _ in range(30):
+        var = rng.choice((0, 1))
+        target = alphabet.var_code(var)
+        phi = random_formula(rng, depth=3)
+        t = random_term(rng, depth=2)
+        fc, tc = encode_syntax(phi, alphabet), encode_syntax(t, alphabet)
+
+        assert sub_z(fc, tc, var, alphabet).support == _support_oracle(_spliced(codes(phi), target, codes(t)))
+        assert sub_free(fc, tc, var, alphabet).support == _support_oracle(codes(_free_subst(phi, var, t)))
+
+        value = seq_number_oracle(codes(phi))
+        assert diag(fc, var, alphabet).support == _support_oracle(
+            _spliced(codes(phi), target, codes(numeral(value)))
+        )
+
+        psi, m = fixed_point(fc, var, alphabet)
+        theta = codes(_free_subst(phi, var, DiagFn(Var(var))))
+        assert m.support == _support_oracle(theta)
+        assert to_number(m, max_index=m.max_index) == seq_number_oracle(theta)
+        num = codes(numeral(seq_number_oracle(theta)))
+        assert psi.support == _support_oracle(_spliced(theta, target, num))
+        old = sub_z(m, encode_syntax(numeral(to_number(m, max_index=m.max_index)), alphabet), var, alphabet)
+        assert psi.support == old.support
+        assert psi.support == diag(m, var, alphabet).support
