@@ -35,10 +35,10 @@ from .seqcode import (
 from .syntax import (
     Alphabet,
     Formula,
+    _to_codes,
     decode_syntax,
     default_alphabet,
     encode_syntax,
-    flatten,
     format_text,
     is_term_code,
     is_wff_code,
@@ -277,9 +277,7 @@ def _cmd_oracle_mp(args, io, ctx):
 
 def _cmd_compare(args, io, ctx):
     if args.formula is not None:
-        alphabet = ctx["alphabet"]
-        node = parse_text(args.formula)
-        seq = [alphabet.code_of(s) for s in flatten(node)]
+        seq = _to_codes(parse_text(args.formula), ctx["alphabet"])
     else:
         rng = random.Random(args.seed)
         seq = [rng.randint(1, 20) for _ in range(args.symbols)]

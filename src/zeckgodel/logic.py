@@ -28,11 +28,11 @@ from .syntax import (
     ProvP,
     Term,
     Var,
-    decode_proof,
+    _proof_steps,
+    _to_codes,
     decode_syntax,
     encode_proof,
     encode_syntax,
-    flatten,
     is_wff_code,
     parse_text,
 )
@@ -95,8 +95,13 @@ def load_theory(source) -> TheoryConfig:
 
 # --- axiom schema matching ----------------------------------------------
 
+def _same(x, y) -> bool:
+    """Structural equality without recursion, on the nodes' symbol codes."""
+    return x is y or (type(x) is type(y) and _to_codes(x, DEFAULT_ALPHABET) == _to_codes(y, DEFAULT_ALPHABET))
+
+
 def _match_k(f: Formula) -> bool:
-    return isinstance(f, Imp) and isinstance(f.right, Imp) and f.right.right == f.left
+    return isinstance(f, Imp) and isinstance(f.right, Imp) and _same(f.right.right, f.left)
 
 
 def _match_s(f: Formula) -> bool:
@@ -107,8 +112,8 @@ def _match_s(f: Formula) -> bool:
     r = f.right
     return (
         isinstance(r, Imp)
-        and r.left == Imp(a, b)
-        and r.right == Imp(a, c)
+        and _same(r.left, Imp(a, b))
+        and _same(r.right, Imp(a, c))
     )
 
 
@@ -120,13 +125,13 @@ def _match_contraposition(f: Formula) -> bool:
     return (
         isinstance(lhs.left, Neg)
         and isinstance(lhs.right, Neg)
-        and lhs.left.arg == rhs.right
-        and lhs.right.arg == rhs.left
+        and _same(lhs.left.arg, rhs.right)
+        and _same(lhs.right.arg, rhs.left)
     )
 
 
 def _match_eq_refl(f: Formula) -> bool:
-    return isinstance(f, Eq) and f.left == f.right
+    return isinstance(f, Eq) and _same(f.left, f.right)
 
 
 def _replaced_some(p, q, s: Term, t: Term) -> bool:
@@ -210,7 +215,7 @@ def _match_forall_dist(f: Formula) -> bool:
         return False
     v = f.left.var
     p, q = f.left.body.left, f.left.body.right
-    return f.right == Imp(Forall(v, p), Forall(v, q))
+    return _same(f.right, Imp(Forall(v, p), Forall(v, q)))
 
 
 _SCHEMA_MATCHERS = {
@@ -224,16 +229,30 @@ _SCHEMA_MATCHERS = {
 }
 
 
+def _axiom_test(theory: TheoryConfig, alphabet: Alphabet):
+    """The theory's axiom predicate, ``test(f, codes=None)``.
+
+    Extra axioms are looked up by their symbol codes in a set built once;
+    pass ``codes`` when f's codes under ``alphabet`` are already known.
+    """
+    matchers = [_SCHEMA_MATCHERS[name] for name in theory.schemas]
+    extra = {tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms}
+
+    def test(f: Formula, codes: tuple[int, ...] | None = None) -> bool:
+        if extra and (tuple(_to_codes(f, alphabet)) if codes is None else codes) in extra:
+            return True
+        return any(match(f) for match in matchers)
+
+    return test
+
+
 def is_axiom(f: Formula, theory: TheoryConfig | None = None) -> bool:
-    theory = theory or default_theory()
-    if any(_SCHEMA_MATCHERS[name](f) for name in theory.schemas):
-        return True
-    return f in theory.extra_axioms
+    return _axiom_test(theory or default_theory(), DEFAULT_ALPHABET)(f)
 
 
 def check_mp(p: Formula, q: Formula, r: Formula) -> bool:
     """True iff q is structurally p -> r."""
-    return isinstance(q, Imp) and q.left == p and q.right == r
+    return isinstance(q, Imp) and _same(q.left, p) and _same(q.right, r)
 
 
 def check_mp_codes(pc, qc, rc, alphabet: Alphabet | None = None) -> bool:
@@ -268,10 +287,11 @@ class Proof:
 def check_structured_proof(proof: Proof, theory: TheoryConfig | None = None) -> bool:
     """Validate a proof with explicit justifications (indices strictly earlier)."""
     theory = theory or default_theory()
+    axiom = _axiom_test(theory, DEFAULT_ALPHABET)
     for i, step in enumerate(proof.steps):
         j = step.justification
         if j[0] == "axiom":
-            if not is_axiom(step.formula, theory):
+            if not axiom(step.formula):
                 return False
         elif j[0] == "mp":
             _, a, b = j
@@ -283,7 +303,8 @@ def check_structured_proof(proof: Proof, theory: TheoryConfig | None = None) -> 
             _, a, v = j
             if not (theory.generalization and 0 <= a < i):
                 return False
-            if step.formula != Forall(v, proof.steps[a].formula):
+            f = step.formula
+            if not (isinstance(f, Forall) and f.var == v and _same(f.body, proof.steps[a].formula)):
                 return False
         else:
             return False
@@ -297,30 +318,49 @@ def check_proof(
     theory: TheoryConfig | None = None,
     alphabet: Alphabet | None = None,
 ) -> bool:
-    """Total predicate: malformed codes and invalid derivations are False."""
+    """Total predicate: malformed codes and invalid derivations are False.
+
+    Two formulas are equal exactly when their symbol codes are, so each step
+    is checked by set and dict lookups on code tuples: linear in the proof's
+    symbols.
+    """
     theory = theory or default_theory()
+    alphabet = alphabet or DEFAULT_ALPHABET
     try:
-        formulas = decode_proof(as_code(proof_code), alphabet)
+        steps = _proof_steps(as_code(proof_code), alphabet)
     except Exception:
         return False
-    if not formulas:
+    if not steps:
         return False
-    for i, f in enumerate(formulas):
-        if is_axiom(f, theory):
-            continue
-        ok = False
-        if theory.modus_ponens:
-            for k in range(i):
-                q = formulas[k]
-                if isinstance(q, Imp) and q.right == f:
-                    if any(formulas[j] == q.left for j in range(i)):
-                        ok = True
-                        break
-        if not ok and theory.generalization and isinstance(f, Forall):
-            ok = any(formulas[j] == f.body for j in range(i))
-        if not ok:
+    axiom = _axiom_test(theory, alphabet)
+    imp, forall = alphabet.base["→"], alphabet.base["∀"]
+    seen: set[tuple[int, ...]] = set()  # every earlier step
+    premises: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # conclusion -> premise of each earlier implication
+    for f, k in steps:
+        # a repeated step is justified as its first occurrence was
+        if not (
+            k in seen
+            or axiom(f, k)
+            or theory.modus_ponens and any(p in seen for p in premises.get(k, ()))
+            or theory.generalization and k[0] == forall and k[2:] in seen
+        ):
             return False
+        seen.add(k)
+        if k[0] == imp:
+            split = _premise_end(k, alphabet)
+            premises.setdefault(k[split:], []).append(k[1:split])
     return True
+
+
+def _premise_end(codes: tuple[int, ...], alphabet: Alphabet) -> int:
+    """End of the premise in an implication's codes ``→ p r``: an arity scan."""
+    heads, offset = alphabet._heads, alphabet.offset
+    need, i = 1, 1
+    while need:
+        a = codes[i]
+        need += -1 if a >= offset else len(heads[a][1]) - 1
+        i += 1
+    return i
 
 
 # --- bounded provability search -------------------------------------------
@@ -339,7 +379,7 @@ def _subformulas(f: Formula) -> list[Formula]:
 
 
 def _key(f: Formula, alphabet: Alphabet) -> tuple[int, ...]:
-    return tuple(alphabet.code_of(s) for s in flatten(f))
+    return tuple(_to_codes(f, alphabet))
 
 
 def prov_bounded(
@@ -364,10 +404,11 @@ def prov_bounded(
     goal = decode_syntax(tc, alphabet)
     assert isinstance(goal, Formula)
 
+    axiom = _axiom_test(theory, alphabet)
     seeds: list[Formula] = list(theory.extra_axioms)
     for f in [goal, *theory.extra_axioms]:
         for sub in _subformulas(f):
-            if is_axiom(sub, theory):
+            if axiom(sub):
                 seeds.append(sub)
 
     # pool: key -> (formula, parents); parents is None for axiom steps

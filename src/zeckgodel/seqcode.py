@@ -12,10 +12,10 @@ demand and only below a configurable size threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from collections.abc import Sequence
 
 from .errors import CodeTooLargeError, InvalidSupportError, NotSequenceCodeError
-from .numeric import cantor_unpair
 from .zeckendorf import fib_sum, is_valid_support, z_decode
 
 # Largest support index for which to_number will build the exact integer.
@@ -102,9 +102,13 @@ def _positions(c: SeqCode) -> list[tuple[int, int]] | None:
     m = len(c.support)
     seen = []
     for e in c.support:
-        if e % 2 == 0:
+        if not e & 1:
             return None
-        a, i = cantor_unpair((e - 1) // 2)
+        # (a, i) = cantor_unpair((e - 1) // 2), inlined like seq_encode's pairing
+        p = e >> 1
+        w = (isqrt(8 * p + 1) - 1) >> 1
+        a = p - (w * (w + 1) >> 1)
+        i = w - a
         if not 1 <= i <= m:
             return None
         seen.append((i, a))

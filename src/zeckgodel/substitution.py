@@ -8,8 +8,8 @@ over the (possibly enormous) term structure.
 
 Validation happens once, at the public entry: each code a caller passes in
 is decoded and parsed a single time, and the internal steps splice the
-symbol codes that check returned.  ``diag`` and ``fixed_point`` take the
-numeral's symbol codes straight from its flattening and do not re-check the
+symbol codes that check returned.  ``diag`` and ``fixed_point`` walk the
+numeral's AST straight to symbol codes and do not re-check the
 diagonal code m, a wff by construction, so no code the library has just
 built is decoded again.
 """
@@ -19,17 +19,15 @@ from __future__ import annotations
 from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError, ZeckGodelError
 from .seqcode import SeqCode, as_code, bits_estimate, seq_decode, seq_encode, to_number
 from .syntax import (
-    _FORM_SLOTS,
-    _TERM_SLOTS,
     Alphabet,
     DEFAULT_ALPHABET,
     DiagFn,
     Formula,
     Term,
     Var,
-    flatten,
+    _from_codes,
+    _to_codes,
     numeral,
-    parse,
 )
 
 # Diagonalization refuses to build numerals beyond this many bits.
@@ -40,8 +38,8 @@ def _validated(code: SeqCode, category: type, alphabet: Alphabet) -> list[int]:
     """Symbol codes of ``code``, decoded once; raises unless it codes a ``category``."""
     try:
         codes = seq_decode(code)
-        node = parse([alphabet.symbol_of(a) for a in codes])
-    except (ZeckGodelError, ValueError):  # ValueError: int/str digit limit on huge variables
+        node = _from_codes(codes, alphabet)
+    except ZeckGodelError:
         node = None
     if not isinstance(node, category):
         if category is Formula:
@@ -54,10 +52,6 @@ def _checked(formula_code, term_code, alphabet):
     fc = as_code(formula_code)
     tc = as_code(term_code)
     return _validated(fc, Formula, alphabet), _validated(tc, Term, alphabet)
-
-
-def _codes_of(node: "Term | Formula", alphabet: Alphabet) -> list[int]:
-    return [alphabet.code_of(s) for s in flatten(node)]
 
 
 def _splice(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
@@ -75,6 +69,7 @@ def _free_spliced(
     values: list[int], target: int, replacement: list[int], alphabet: Alphabet
 ) -> list[int]:
     """``values`` with only the free occurrences of ``target`` replaced."""
+    heads, offset = alphabet._heads, alphabet.offset
     out: list[int] = []
     # frames: [pending subtree operands, whether this frame shadows the target]
     frames: list[list] = []
@@ -82,8 +77,7 @@ def _free_spliced(
     i, n = 0, len(values)
     while i < n:
         a = values[i]
-        sym = alphabet.symbol_of(a)
-        slots = _FORM_SLOTS.get(sym) or _TERM_SLOTS.get(sym)
+        slots = heads[a][1] if a < offset else ()
         if slots and slots[0] == "v":  # binder: variable token is consumed inline
             bound = values[i + 1]
             out.append(a)
@@ -120,7 +114,7 @@ def _numeral_codes(c: SeqCode, max_bits: int, alphabet: Alphabet) -> list[int]:
         raise NumeralTooLargeError(
             f"numeral too large: code is ~{bits_estimate(c)} bits, limit {max_bits}"
         )
-    return _codes_of(numeral(to_number(c, max_index=c.max_index)), alphabet)
+    return _to_codes(numeral(to_number(c, max_index=c.max_index)), alphabet)
 
 
 def sub_z(
@@ -173,7 +167,7 @@ def fixed_point(
     """
     alphabet = alphabet or DEFAULT_ALPHABET
     pc = as_code(phi_code)
-    inner = _codes_of(DiagFn(Var(var)), alphabet)
+    inner = _to_codes(DiagFn(Var(var)), alphabet)
     target = alphabet.var_code(var)
     theta = _free_spliced(_validated(pc, Formula, alphabet), target, inner, alphabet)
     m = seq_encode(theta)

@@ -5,8 +5,11 @@ well-formedness is one bounded left-to-right pass and there are no
 parentheses in the coded alphabet.  Symbol numbers below the offset are base
 symbols; v_i gets code i + offset.
 
-The parser and flattener are iterative: numerals for multi-thousand-bit
-values nest far deeper than any recursion limit.
+Encoding and decoding run on symbol codes: one walker (``_to_codes``) and one
+frame-machine parser (``_from_codes``), both iterative, since numerals for
+multi-thousand-bit values nest far deeper than any recursion limit.  A
+variable is decoded as ``code - offset``, never through text.  ``flatten``,
+``parse`` and ``format_text`` are glyph-string wrappers over the two.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     InvalidSymbolError,
     NotProofCodeError,
     ParseError,
+    ZeckGodelError,
 )
 from .seqcode import SeqCode, as_code, seq_decode, seq_encode, to_number
 
@@ -116,8 +120,26 @@ class Exists(Formula):
 
 # --- Alphabet -----------------------------------------------------------
 
-_BASE_GLYPHS = ("¬", "→", "∧", "∨", "∀", "∃", "=", "0", "S", "+", "·", "diagfn", "Prov")
+# head glyph -> (constructor, operand slots); t = term, f = formula,
+# v = bound variable
+_GRAMMAR: dict[str, tuple[type, tuple[str, ...]]] = {
+    "¬": (Neg, ("f",)),
+    "→": (Imp, ("f", "f")),
+    "∧": (And, ("f", "f")),
+    "∨": (Or, ("f", "f")),
+    "∀": (Forall, ("v", "f")),
+    "∃": (Exists, ("v", "f")),
+    "=": (Eq, ("t", "t")),
+    "0": (Zero, ()),
+    "S": (Succ, ("t",)),
+    "+": (Plus, ("t", "t")),
+    "·": (Times, ("t", "t")),
+    "diagfn": (DiagFn, ("t",)),
+    "Prov": (ProvP, ("t",)),
+}
+_BASE_GLYPHS = tuple(_GRAMMAR)
 _VAR_RE = re.compile(r"^v(\d+)$")
+_BINDER = 3  # _to_codes shape of a quantifier; the others are their operand counts
 
 
 @dataclass(frozen=True)
@@ -140,6 +162,16 @@ class Alphabet:
         if self.offset <= len(self.base):
             raise AlphabetError("offset must exceed the number of base symbols")
         object.__setattr__(self, "_by_code", {c: s for s, c in self.base.items()})
+        # code -> (constructor, slots, category): the parser's head table
+        heads = {}
+        # constructor -> (code, shape): the walker's table
+        emit = {}
+        for glyph, code in self.base.items():
+            ctor, slots = _GRAMMAR[glyph]
+            heads[code] = (ctor, slots, "t" if issubclass(ctor, Term) else "f")
+            emit[ctor] = (code, _BINDER if slots[:1] == ("v",) else len(slots))
+        object.__setattr__(self, "_heads", heads)
+        object.__setattr__(self, "_emit", emit)
 
     def code_of(self, symbol: str) -> int:
         m = _VAR_RE.match(symbol)
@@ -197,155 +229,157 @@ def load_alphabet(source) -> Alphabet:
         raise AlphabetError(f"malformed alphabet config: {exc}") from exc
 
 
-# --- flatten / parse ----------------------------------------------------
+# --- the code walker and the code parser ----------------------------------
 
-# operand slots per head symbol: t = term, f = formula, v = bound variable
-_TERM_SLOTS: dict[str, tuple[str, ...]] = {"S": ("t",), "+": ("t", "t"), "·": ("t", "t"), "diagfn": ("t",)}
-_FORM_SLOTS: dict[str, tuple[str, ...]] = {
-    "=": ("t", "t"),
-    "Prov": ("t",),
-    "¬": ("f",),
-    "→": ("f", "f"),
-    "∧": ("f", "f"),
-    "∨": ("f", "f"),
-    "∀": ("v", "f"),
-    "∃": ("v", "f"),
-}
-
-_FORM_BUILD = {
-    "=": Eq,
-    "Prov": ProvP,
-    "¬": Neg,
-    "→": Imp,
-    "∧": And,
-    "∨": Or,
-    "∀": Forall,
-    "∃": Exists,
-}
-_TERM_BUILD = {"S": Succ, "+": Plus, "·": Times, "diagfn": DiagFn}
+def _var_code(index, offset: int) -> int:
+    if type(index) is not int or index < 0:
+        raise AlphabetError("variable indices must be natural numbers")
+    return index + offset
 
 
-def flatten(node: "Term | Formula") -> list[str]:
-    """Prefix-order symbol string of an AST (operator before operands)."""
-    out: list[str] = []
-    stack: list[object] = [node]
+def _to_codes(node: "Term | Formula", alphabet: Alphabet) -> list[int]:
+    """Prefix-order symbol codes of an AST (operator before operands)."""
+    emit, offset = alphabet._emit, alphabet.offset
+    out: list[int] = []
+    stack: list = [node]
     while stack:
         x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
+        t = type(x)
+        if t is Var:
+            out.append(_var_code(x.index, offset))
             continue
-        sym, parts = _node_parts(x)
-        out.append(sym)
-        stack.extend(reversed(parts))
+        head = emit.get(t)
+        if head is None:
+            raise TypeError(f"not an AST node: {x!r}")
+        code, shape = head
+        out.append(code)
+        if shape == 2:
+            stack.append(x.right)
+            stack.append(x.left)
+        elif shape == 1:
+            stack.append(x.arg)
+        elif shape == _BINDER:
+            out.append(_var_code(x.var, offset))
+            stack.append(x.body)
     return out
 
 
-def _node_parts(x) -> tuple[str, tuple]:
-    match x:
-        case Zero():
-            return "0", ()
-        case Var(i):
-            return f"v{i}", ()
-        case Succ(a):
-            return "S", (a,)
-        case Plus(a, b):
-            return "+", (a, b)
-        case Times(a, b):
-            return "·", (a, b)
-        case DiagFn(a):
-            return "diagfn", (a,)
-        case Eq(a, b):
-            return "=", (a, b)
-        case ProvP(a):
-            return "Prov", (a,)
-        case Neg(a):
-            return "¬", (a,)
-        case Imp(a, b):
-            return "→", (a, b)
-        case And(a, b):
-            return "∧", (a, b)
-        case Or(a, b):
-            return "∨", (a, b)
-        case Forall(v, b):
-            return "∀", (f"v{v}", b)
-        case Exists(v, b):
-            return "∃", (f"v{v}", b)
-    raise TypeError(f"not an AST node: {x!r}")
+_WANT = {"formula": "f", "term": "t"}
+_EXPECTED = {"f": "a formula", "t": "a term", "v": "a variable"}
+
+
+def _glyph(code: int, alphabet: Alphabet) -> str:
+    """A symbol's name for error messages; never fails on a huge variable."""
+    if code < alphabet.offset:
+        return alphabet._by_code[code]
+    index = code - alphabet.offset
+    # 2**2048 has 617 digits, under every int/str digit limit Python accepts
+    return f"v{index}" if index.bit_length() <= 2048 else f"v<{index.bit_length()}-bit index>"
+
+
+def _unexpected(codes: Sequence[int], i: int, alphabet: Alphabet, message: str) -> ZeckGodelError:
+    """The error for a parse failing at ``i``: an invalid symbol number at or
+    after ``i`` wins, as if every code had been looked up before parsing."""
+    for a in codes[i:]:
+        if a < alphabet.offset and a not in alphabet._heads:
+            return InvalidSymbolError(a)
+    return ParseError(message, position=i)
+
+
+def _from_codes(codes: Sequence[int], alphabet: Alphabet, expect: str | None = None) -> "Term | Formula":
+    """Inverse of _to_codes.  ``expect`` may pin the category to formula/term.
+
+    A variable is ``code - offset``; no index passes through text.
+    """
+    heads, offset = alphabet._heads, alphabet.offset
+    enclosing: list[tuple] = []  # frames outside the innermost one
+    ctor = slots = children = None  # the innermost open frame
+    want = _WANT.get(expect, "a")  # None once the root is complete
+    for i, a in enumerate(codes):
+        if want is None:
+            raise _unexpected(codes, i, alphabet, "trailing symbols")
+        if a >= offset:
+            if want == "v":
+                children.append(a - offset)
+                want = slots[1]
+                continue
+            if want == "f":
+                raise _unexpected(codes, i, alphabet, f"unexpected symbol {_glyph(a, alphabet)!r}, expected a formula")
+            node: object = Var(a - offset)
+        else:
+            head = heads.get(a)
+            if head is None:
+                raise InvalidSymbolError(a)
+            if want != head[2] and want != "a":
+                raise _unexpected(
+                    codes, i, alphabet, f"unexpected symbol {_glyph(a, alphabet)!r}, expected {_EXPECTED[want]}"
+                )
+            if head[1]:
+                if children is not None:
+                    enclosing.append((ctor, slots, children))
+                ctor, slots, _ = head
+                children = []
+                want = slots[0]
+                continue
+            node = head[0]()
+        # deliver the completed node upward, folding filled frames
+        while True:
+            if children is None:
+                root, want = node, None
+                break
+            children.append(node)
+            if len(children) < len(slots):
+                want = slots[len(children)]
+                break
+            node = ctor(*children)
+            ctor, slots, children = enclosing.pop() if enclosing else (None, None, None)
+    if want is not None:
+        raise _unexpected(codes, len(codes), alphabet, "truncated input")
+    return root
+
+
+# --- glyph strings ------------------------------------------------------
+
+def flatten(node: "Term | Formula") -> list[str]:
+    """Prefix-order symbol string of an AST (operator before operands)."""
+    by_code, offset = DEFAULT_ALPHABET._by_code, DEFAULT_ALPHABET.offset
+    return [by_code[c] if c < offset else f"v{c - offset}" for c in _to_codes(node, DEFAULT_ALPHABET)]
 
 
 def parse(symbols: Sequence[str], expect: str | None = None) -> "Term | Formula":
     """Inverse of flatten.  ``expect`` may pin the category to formula/term."""
-    frames: list[list] = []  # [head, slots, children]
-    root = None
-    i, n = 0, len(symbols)
-
-    def build(head: str, children: list):
-        ctor = _FORM_BUILD.get(head) or _TERM_BUILD[head]
-        return ctor(*children)
-
-    while root is None:
-        if frames:
-            f = frames[-1]
-            want = f[1][len(f[2])]
-        else:
-            want = {"formula": "f", "term": "t"}.get(expect, "a")
-        if i >= n:
-            raise ParseError("truncated input", position=i)
-        tok = symbols[i]
+    base, offset = DEFAULT_ALPHABET.base, DEFAULT_ALPHABET.offset
+    codes: list[int] = []
+    for tok in symbols:  # up to the first unknown glyph
         m = _VAR_RE.match(tok)
-        if want == "v":
-            if m is None:
-                raise ParseError(f"unexpected symbol {tok!r}, expected a variable", position=i)
-            frames[-1][2].append(int(m.group(1)))
-            i += 1
-            continue
-        if m is not None or tok == "0":
-            if want == "f":
-                raise ParseError(f"unexpected symbol {tok!r}, expected a formula", position=i)
-            node: object = Zero() if m is None else Var(int(m.group(1)))
-            i += 1
-        elif tok in _TERM_SLOTS:
-            if want == "f":
-                raise ParseError(f"unexpected symbol {tok!r}, expected a formula", position=i)
-            frames.append([tok, _TERM_SLOTS[tok], []])
-            i += 1
-            continue
-        elif tok in _FORM_SLOTS:
-            if want == "t":
-                raise ParseError(f"unexpected symbol {tok!r}, expected a term", position=i)
-            frames.append([tok, _FORM_SLOTS[tok], []])
-            i += 1
-            continue
+        if m:
+            codes.append(int(m.group(1)) + offset)
+        elif tok in base:
+            codes.append(base[tok])
         else:
-            raise ParseError(f"unexpected symbol {tok!r}", position=i)
-        # deliver the completed node upward, folding filled frames
-        while True:
-            if not frames:
-                root = node
-                break
-            f = frames[-1]
-            f[2].append(node)
-            if len(f[2]) < len(f[1]):
-                break
-            frames.pop()
-            node = build(f[0], f[2])
-
-    if i < n:
-        raise ParseError("trailing symbols", position=i)
-    return root
+            break
+    u = len(codes)
+    try:
+        node = _from_codes(codes, DEFAULT_ALPHABET, expect)
+    except ParseError as exc:
+        if u == len(symbols) or exc.position < u:
+            raise
+        # the parser reached the unknown glyph and wanted a symbol there
+        wanted = ", expected a variable" if u and symbols[u - 1] in ("∀", "∃") else ""
+        raise ParseError(f"unexpected symbol {symbols[u]!r}{wanted}", position=u) from None
+    if u < len(symbols):
+        raise ParseError("trailing symbols", position=u)
+    return node
 
 
 # --- syntax codes -------------------------------------------------------
 
 def encode_syntax(x: "Term | Formula", alphabet: Alphabet | None = None) -> SeqCode:
-    alphabet = alphabet or DEFAULT_ALPHABET
-    return seq_encode([alphabet.code_of(s) for s in flatten(x)])
+    return seq_encode(_to_codes(x, alphabet or DEFAULT_ALPHABET))
 
 
 def decode_syntax(c: "SeqCode | int", alphabet: Alphabet | None = None) -> "Term | Formula":
-    alphabet = alphabet or DEFAULT_ALPHABET
-    symbols = [alphabet.symbol_of(a) for a in seq_decode(c)]
-    return parse(symbols)
+    return _from_codes(seq_decode(c), alphabet or DEFAULT_ALPHABET)
 
 
 def is_wff_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
@@ -390,16 +424,21 @@ def encode_proof(formulas: Sequence[Formula], alphabet: Alphabet | None = None) 
 
 
 def decode_proof(c: "SeqCode | int", alphabet: Alphabet | None = None) -> list[Formula]:
-    values = seq_decode(c)
+    return [f for f, _ in _proof_steps(c, alphabet or DEFAULT_ALPHABET)]
+
+
+def _proof_steps(c: "SeqCode | int", alphabet: Alphabet) -> list[tuple[Formula, tuple[int, ...]]]:
+    """Each element of a proof code, decoded once: (formula, its symbol codes)."""
     out = []
-    for pos, value in enumerate(values, start=1):
+    for pos, value in enumerate(seq_decode(c), start=1):
         try:
-            node = decode_syntax(as_code(value), alphabet)
+            codes = seq_decode(as_code(value))
+            node = _from_codes(codes, alphabet)
         except Exception as exc:
             raise NotProofCodeError(f"element {pos} is not a wff code: {exc}") from exc
         if not isinstance(node, Formula):
             raise NotProofCodeError(f"element {pos} is not a wff code")
-        out.append(node)
+        out.append((node, tuple(codes)))
     return out
 
 
@@ -425,22 +464,26 @@ _GLYPH_OF_TEXT = {t: g for g, t in _TEXT_OF_GLYPH.items()}
 
 def format_text(node: "Term | Formula") -> str:
     """Render as parenthesized prefix text, e.g. ``(forall v0 (= v0 v0))``."""
+    heads, by_code, offset = DEFAULT_ALPHABET._heads, DEFAULT_ALPHABET._by_code, DEFAULT_ALPHABET.offset
     tokens: list[str] = []
-    stack: list[object] = [node]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            tokens.append(x)
-            continue
-        sym, parts = _node_parts(x)
-        name = _TEXT_OF_GLYPH.get(sym, sym)
-        if parts:
-            tokens.append("(")
-            tokens.append(name)
-            stack.append(")")
-            stack.extend(reversed(parts))
+    owed: list[int] = []  # operands still to come in each open parenthesis
+    for c in _to_codes(node, DEFAULT_ALPHABET):
+        if c >= offset:
+            tokens.append(f"v{c - offset}")
         else:
+            name = _TEXT_OF_GLYPH[by_code[c]]
+            arity = len(heads[c][1])
+            if arity:
+                tokens += ["(", name]
+                owed.append(arity)
+                continue
             tokens.append(name)
+        while owed:
+            owed[-1] -= 1
+            if owed[-1]:
+                break
+            owed.pop()
+            tokens.append(")")
     buf: list[str] = []
     for t in tokens:
         if buf and t != ")" and buf[-1] != "(":
@@ -452,13 +495,9 @@ def format_text(node: "Term | Formula") -> str:
 def parse_text(text: str, expect: str | None = None) -> "Term | Formula":
     """Read the parenthesized prefix form back into an AST."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    frames: list[list] = []  # [head glyph, slots, children]
+    frames: list[list] = []  # [constructor, slots, children]
     root = None
     i, n = 0, len(tokens)
-
-    def build(head: str, children: list):
-        ctor = _FORM_BUILD.get(head) or _TERM_BUILD[head]
-        return ctor(*children)
 
     def deliver(node):
         nonlocal root
@@ -482,7 +521,7 @@ def parse_text(text: str, expect: str | None = None) -> "Term | Formula":
             if want != ")":
                 raise ParseError("missing operand before ')'", position=i)
             f = frames.pop()
-            deliver(build(f[0], f[2]))
+            deliver(f[0](*f[2]))
             i += 1
             continue
         if want == ")":
@@ -497,14 +536,14 @@ def parse_text(text: str, expect: str | None = None) -> "Term | Formula":
         if tok == "(":
             if i + 1 >= n:
                 raise ParseError("truncated input", position=i + 1)
-            head = _GLYPH_OF_TEXT.get(tokens[i + 1])
-            if head is None or (head not in _TERM_SLOTS and head not in _FORM_SLOTS):
+            ctor, slots = _GRAMMAR.get(_GLYPH_OF_TEXT.get(tokens[i + 1]), (None, ()))
+            if not slots:
                 raise ParseError(f"unexpected symbol {tokens[i + 1]!r}", position=i + 1)
-            if head in _TERM_SLOTS and want == "f":
+            if issubclass(ctor, Term) and want == "f":
                 raise ParseError(f"unexpected symbol {tokens[i + 1]!r}, expected a formula", position=i + 1)
-            if head in _FORM_SLOTS and want == "t":
+            if issubclass(ctor, Formula) and want == "t":
                 raise ParseError(f"unexpected symbol {tokens[i + 1]!r}, expected a term", position=i + 1)
-            frames.append([head, _TERM_SLOTS.get(head) or _FORM_SLOTS[head], []])
+            frames.append([ctor, slots, []])
             i += 2
             continue
         m = _VAR_RE.match(tok)

@@ -11,6 +11,8 @@ import random
 from math import isqrt
 
 from zeckgodel.syntax import (
+    DEFAULT_ALPHABET,
+    Alphabet,
     And,
     DiagFn,
     Eq,
@@ -169,3 +171,10 @@ def random_formula(
         return Or(sub(), sub())
     binder = Forall if kind == 4 else Exists
     return binder(rng.choice(binder_pool), sub())
+
+
+def shuffled_alphabet(seed: int) -> Alphabet:
+    """The 13 glyphs on shuffled codes 3..15, variables from 40."""
+    glyphs = list(DEFAULT_ALPHABET.base)
+    random.Random(seed).shuffle(glyphs)
+    return Alphabet(base={g: k for k, g in enumerate(glyphs, start=3)}, offset=40)

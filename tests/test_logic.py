@@ -41,6 +41,8 @@ from zeckgodel.syntax import (
     numeral,
 )
 
+from helpers import random_formula, shuffled_alphabet
+
 A = Eq(Zero(), Zero())
 B = Forall(0, Eq(Var(0), Var(0)))
 S0 = Succ(Zero())
@@ -320,3 +322,85 @@ def test_proof_code_of_a_100_bit_numeral():
     num = numeral(n)
     assert check_proof(encode_proof([Eq(num, num)]))
     assert not check_proof(encode_proof([Eq(num, Succ(num))]))
+
+
+def test_structural_checks_do_not_recurse():
+    # numerals nest one level per bit; recursive equality ran out of stack here
+    assert is_axiom(Eq(numeral(2**200 - 1), numeral(2**200 - 1)))
+    g, _ = godel_sentence()
+    psi, psi_again = decode_syntax(g), decode_syntax(g)  # equal, not identical
+    assert is_axiom(Imp(psi, Imp(A, psi_again)))  # the K instance about the Gödel sentence
+    n = random.Random(256).getrandbits(255) | 1 << 255
+    assert check_structured_proof(Proof((ProofStep(Eq(numeral(n), numeral(n)), ("axiom",)),)))
+    assert check_mp(Eq(numeral(n), numeral(n)), Imp(Eq(numeral(n), numeral(n)), psi), psi_again)
+
+
+# --- differential check against the quadratic scan --------------------------
+
+def _quadratic_check(code, theory, alphabet):
+    """check_proof as an AST scan over all earlier pairs, with == on formulas."""
+    try:
+        formulas = decode_proof(code, alphabet)
+    except Exception:
+        return False
+    schemas_only = TheoryConfig(schemas=theory.schemas)
+    for i, f in enumerate(formulas):
+        earlier = formulas[:i]
+        if is_axiom(f, schemas_only) or f in theory.extra_axioms:
+            continue
+        if theory.modus_ponens and any(
+            isinstance(q, Imp) and q.right == f and q.left in earlier for q in earlier
+        ):
+            continue
+        if theory.generalization and isinstance(f, Forall) and f.body in earlier:
+            continue
+        return False
+    return bool(formulas)
+
+
+def _random_proof(rng):
+    base = [random_formula(rng, depth=2) for _ in range(3)]
+    base.append(Imp(base[0], base[1]))  # so that some premises are implications
+    derived = [random_formula(rng, depth=2) for _ in range(3)]
+    links = [Imp(rng.choice(base + derived), rng.choice(derived)) for _ in range(5)]
+    extra = tuple(rng.sample(base, rng.randint(1, 4)) + rng.sample(links, rng.randint(1, 5)))
+    theory = TheoryConfig(
+        extra_axioms=extra, modus_ponens=rng.random() < 0.9, generalization=rng.random() < 0.8
+    )
+    steps = []
+    for _ in range(rng.randint(1, 7)):
+        r = rng.random()
+        if r < 0.3:
+            steps.append(rng.choice(extra))
+        elif r < 0.55:  # modus ponens, the premise before or after its implication
+            q = rng.choice(links)
+            steps += [q.left, q, q.right] if rng.random() < 0.5 else [q, q.left, q.right]
+        elif r < 0.65 and steps:
+            steps.append(Forall(rng.randrange(3), rng.choice(steps)))
+        elif r < 0.75 and steps:
+            steps.append(rng.choice(steps))
+        elif r < 0.85:
+            a, b = rng.choice(base), rng.choice(derived)
+            steps.append(Imp(a, Imp(b, a)))
+        else:
+            steps.append(rng.choice(base + derived + links))
+    return steps, theory
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(7)], ids=["default", "offset40"])
+def test_check_proof_matches_quadratic_scan(alphabet):
+    rng = random.Random(4040)
+    verdicts = []
+    for _ in range(80):
+        steps, theory = _random_proof(rng)
+        code = encode_proof(steps, alphabet)
+        verdicts.append(check_proof(code, theory, alphabet))
+        assert verdicts[-1] == _quadratic_check(code, theory, alphabet)
+        # one symbol changed in one step
+        symbols = [[alphabet.code_of(g) for g in flatten(f)] for f in steps]
+        step = rng.randrange(len(symbols))
+        pos = rng.randrange(len(symbols[step]))
+        symbols[step][pos] = rng.choice([c for c in range(1, alphabet.offset + 4) if c != symbols[step][pos]])
+        tampered = seq_encode([to_number(seq_encode(s)) for s in symbols])
+        assert check_proof(tampered, theory, alphabet) == _quadratic_check(tampered, theory, alphabet)
+    assert 20 <= sum(verdicts) <= 60  # both verdicts well represented

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zeckgodel.errors import CodeTooLargeError, NotSequenceCodeError
+from zeckgodel.numeric import cantor_pair, cantor_unpair
 from zeckgodel.seqcode import (
     SeqCode,
     as_code,
@@ -183,3 +184,18 @@ def test_support_indices_are_odd_pairings(seq):
     indices = seq_encode(seq).support
     assert indices == tuple(sorted((2 * pair_oracle(a, i) + 1 for i, a in enumerate(seq, start=1)), reverse=True))
     assert seq_decode(seq_encode(seq)) == seq
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**200), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=2**200))
+def test_decode_unpairs_like_cantor_unpair(seq, stray):
+    support = seq_encode(seq).support
+    pairs = sorted((i, a) for a, i in (cantor_unpair((e - 1) // 2) for e in support))
+    assert [i for i, _ in pairs] == list(range(1, len(seq) + 1))
+    assert seq_decode(SeqCode(support)) == [a for _, a in pairs] == seq
+    # an index for position 0 or past the length, or an even index, is refused
+    for i in (0, len(seq) + 2):
+        e = 2 * cantor_pair(stray, i) + 1
+        assert not is_code(SeqCode(tuple(sorted((*support, e), reverse=True))))
+    assert not is_code(SeqCode((2 * support[0] + 2, *support)))

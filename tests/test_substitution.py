@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -8,7 +9,6 @@ from zeckgodel.seqcode import is_code, seq_decode, seq_encode, seq_len, to_numbe
 from zeckgodel.substitution import diag, fixed_point, sub_free, sub_z
 from zeckgodel.syntax import (
     DEFAULT_ALPHABET,
-    Alphabet,
     DiagFn,
     Eq,
     Exists,
@@ -27,7 +27,7 @@ from zeckgodel.syntax import (
     numeral,
 )
 
-from helpers import pair_oracle, random_formula, random_term, seq_number_oracle
+from helpers import pair_oracle, random_formula, random_term, seq_number_oracle, shuffled_alphabet
 
 S0 = Succ(Zero())
 
@@ -225,6 +225,27 @@ def test_entry_checks_agree_with_predicates_on_a_huge_variable():
             sub_free(wff, huge)
 
 
+def test_huge_variable_verdicts_ignore_the_digit_limit():
+    # no decode or validation path names a variable in decimal, so the verdicts
+    # are the same under the default int/str digit limit and with none
+    huge = seq_encode([10**5000])
+    neg_huge = seq_encode([DEFAULT_ALPHABET.base["¬"], 10**5000])  # ¬ followed by a term
+    wff = encode_syntax(Eq(Var(0), Var(0)))
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        for limit in ([4300, 0] if old is not None else [None]):
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            assert is_term_code(huge) and not is_wff_code(huge)
+            assert not is_wff_code(neg_huge)
+            assert is_code(sub_free(wff, huge))
+            with pytest.raises(NotWffCodeError):
+                sub_z(neg_huge, huge)
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
 # --- differential check against the composition built from public steps -----
 
 def _support_oracle(values):
@@ -247,13 +268,7 @@ def _free_subst(node, var, t):
     return type(node)(*(_free_subst(getattr(node, f.name), var, t) for f in fields(node)))
 
 
-def _shuffled_alphabet(seed):
-    glyphs = list(DEFAULT_ALPHABET.base)
-    random.Random(seed).shuffle(glyphs)
-    return Alphabet(base={g: k for k, g in enumerate(glyphs, start=3)}, offset=40)
-
-
-@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, _shuffled_alphabet(5)], ids=["default", "offset40"])
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(5)], ids=["default", "offset40"])
 def test_substitution_matches_old_composition(alphabet):
     rng = random.Random(2024)
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -45,8 +46,9 @@ from zeckgodel.syntax import (
     parse,
     parse_text,
 )
+from zeckgodel.syntax import _from_codes, _to_codes
 
-from helpers import eval_term, random_formula
+from helpers import eval_term, random_formula, shuffled_alphabet
 
 
 def test_default_alphabet_table():
@@ -347,3 +349,56 @@ def test_parser_totality_property(symbols):
         assert 0 <= exc.position <= len(symbols)
     else:
         assert flatten(node) == list(symbols)
+
+
+def test_invalid_symbol_number_wins_over_parse_errors():
+    # as if every symbol number were looked up before parsing
+    for seq in ([7, 8, 8, 14], [7, 2, 14], [5, 14], [7, 14], [14]):
+        with pytest.raises(InvalidSymbolError):
+            decode_syntax(seq_encode(seq))
+
+
+def test_unknown_glyph_errors_keep_their_position():
+    cases = [
+        (["=", "→", "??"], 1, "unexpected symbol '→', expected a term"),
+        (["=", "0", "??"], 2, "unexpected symbol '??'"),
+        (["∀", "??"], 1, "unexpected symbol '??', expected a variable"),
+        (["=", "0", "0", "??"], 3, "trailing symbols"),
+    ]
+    for symbols, position, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(symbols)
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} at position {position}"
+
+
+_GLYPH_OF_TYPE = {
+    Zero: "0", Succ: "S", Plus: "+", Times: "·", DiagFn: "diagfn", Eq: "=", ProvP: "Prov",
+    Neg: "¬", Imp: "→", And: "∧", Or: "∨", Forall: "∀", Exists: "∃",
+}
+
+
+def _glyphs_oracle(node):
+    """Prefix glyph string by plain recursion over the dataclass fields."""
+    if isinstance(node, Var):
+        return [f"v{node.index}"]
+    out = [_GLYPH_OF_TYPE[type(node)]]
+    for f in fields(node):
+        child = getattr(node, f.name)
+        out += [f"v{child}"] if isinstance(child, int) else _glyphs_oracle(child)
+    return out
+
+
+_ALPHABETS = (DEFAULT_ALPHABET, shuffled_alphabet(11))
+
+
+@settings(max_examples=100)
+@given(_formula_strategy | _term_strategy)
+def test_code_walker_and_parser_match_glyph_path(node):
+    glyphs = _glyphs_oracle(node)
+    assert flatten(node) == glyphs
+    assert parse(glyphs) == node
+    for alphabet in _ALPHABETS:
+        codes = [alphabet.code_of(g) for g in glyphs]
+        assert _to_codes(node, alphabet) == codes
+        assert _from_codes(codes, alphabet) == node
