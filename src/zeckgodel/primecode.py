@@ -14,6 +14,7 @@ from collections.abc import Sequence
 
 from .errors import PrimeCodingError
 from .seqcode import seq_decode, seq_encode, to_number
+from .substitution import _splice_code
 
 _primes = [2, 3, 5, 7, 11, 13]
 
@@ -135,13 +136,7 @@ def compare_sizes(seq: Sequence[int], runs: int = 5) -> SizeReport:
         block = [target, target]
 
         def zeck_sub():
-            out: list[int] = []
-            for a in seq_decode(zc):
-                if a == target:
-                    out.extend(block)
-                else:
-                    out.append(a)
-            return to_number(seq_encode(out))
+            return to_number(_splice_code(seq_decode(zc), target, block))
 
         def prime_sub():
             return sub_prime(decode_p(pn), block, target)

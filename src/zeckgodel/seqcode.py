@@ -7,6 +7,10 @@ carries its position, so decoding is unambiguous regardless of ordering.
 Codes are kept in support form (a tuple of indices, which may themselves be
 bignums for nested codes) and materialized to an exact integer only on
 demand and only below a configurable size threshold.
+
+A support passed to ``SeqCode`` is validated; the supports the library
+builds itself (``seq_encode``, ``from_number`` and the substitution splice)
+are valid by construction and go through ``_trusted_code`` instead.
 """
 
 from __future__ import annotations
@@ -44,9 +48,25 @@ class SeqCode:
 
     def __repr__(self) -> str:
         if len(self.support) <= 8:
-            return f"SeqCode(support={list(self.support)})"
-        head = ", ".join(map(str, self.support[:4]))
+            return f"SeqCode(support=[{', '.join(map(_index_text, self.support))}])"
+        head = ", ".join(map(_index_text, self.support[:4]))
         return f"SeqCode(support=[{head}, ...], len={len(self.support)})"
+
+
+def _index_text(e: int) -> str:
+    """An index in decimal, or by its bit length past 2,048 bits.
+
+    2**2048 has 617 digits, under every int/str digit limit Python accepts.
+    """
+    return str(e) if e.bit_length() <= 2048 else f"<{e.bit_length()}-bit index>"
+
+
+def _trusted_code(support: tuple[int, ...], number: int | None = None) -> SeqCode:
+    """A SeqCode on a support the library built, skipping the validity check."""
+    c = object.__new__(SeqCode)
+    object.__setattr__(c, "support", support)
+    object.__setattr__(c, "number", number)
+    return c
 
 
 def as_code(value: "SeqCode | int") -> SeqCode:
@@ -57,7 +77,7 @@ def as_code(value: "SeqCode | int") -> SeqCode:
 
 
 def from_number(n: int) -> SeqCode:
-    return SeqCode(z_decode(n), n)
+    return _trusted_code(z_decode(n), n)
 
 
 def bits_estimate(c: "SeqCode | int") -> int:
@@ -90,11 +110,18 @@ def to_number(c: "SeqCode | int", max_index: int | None = None) -> int:
 
 
 def seq_encode(items: Sequence[int]) -> SeqCode:
-    """Code of [a_1, ..., a_m]; the empty sequence codes to 0."""
+    """Code of [a_1, ..., a_m]; the empty sequence codes to 0.
+
+    Raises InvalidSupportError unless every item is a natural number: a
+    negative item pairs like some natural one, so its code would not be
+    injective, and a fraction gives a fractional index.
+    """
+    if items and (not all(issubclass(k, int) for k in set(map(type, items))) or min(items) < 0):
+        raise InvalidSupportError("sequence items must be natural numbers")
     # 2 * cantor_pair(a, i) + 1, inlined: a call per item would cost more than the arithmetic
     indices = [(a + i) * (a + i + 1) + 2 * a + 1 for i, a in enumerate(items, start=1)]
     indices.sort(reverse=True)
-    return SeqCode(tuple(indices), 0 if not indices else None)
+    return _trusted_code(tuple(indices), 0 if not indices else None)
 
 
 def _positions(c: SeqCode) -> list[tuple[int, int]] | None:

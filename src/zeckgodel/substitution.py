@@ -6,18 +6,28 @@ binders.  Both work on symbol-code lists and re-encode with renumbered
 positions, so outputs are always valid sequence codes and no step recurses
 over the (possibly enormous) term structure.
 
+A splice is encoded by shifting supports rather than by pairing every
+symbol again.  Symbol a at position i has index e = s(s+1) + 2a + 1 with
+s = a + i, so moving it p places to the right maps e to e + p(2s+1) + p^2,
+which keeps a block's indices in order.  ``_splice_code`` encodes the
+replacement once and emits one shifted copy of its sorted support per
+occurrence of the target; only the formula's other symbols are paired, and a
+single sort merges runs that barely overlap.  ``diag``, ``fixed_point`` and
+``sub_z`` use it, so the numeral that fills ψ is encoded once, however many
+copies ψ holds.
+
 Validation happens once, at the public entry: each code a caller passes in
 is decoded and parsed a single time, and the internal steps splice the
-symbol codes that check returned.  ``diag`` and ``fixed_point`` walk the
-numeral's AST straight to symbol codes and do not re-check the
-diagonal code m, a wff by construction, so no code the library has just
-built is decoded again.
+symbol codes that check returned.  ``diag`` and ``fixed_point`` read the
+numeral's symbol codes off the bits of the diagonal value and do not
+re-check the diagonal code m, a wff by construction, so no code the library
+has just built is decoded again.
 """
 
 from __future__ import annotations
 
 from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError, ZeckGodelError
-from .seqcode import SeqCode, as_code, bits_estimate, seq_decode, seq_encode, to_number
+from .seqcode import SeqCode, _trusted_code, as_code, bits_estimate, seq_decode, seq_encode, to_number
 from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
@@ -26,8 +36,8 @@ from .syntax import (
     Term,
     Var,
     _from_codes,
+    _numeral_codes,
     _to_codes,
-    numeral,
 )
 
 # Diagonalization refuses to build numerals beyond this many bits.
@@ -54,15 +64,28 @@ def _checked(formula_code, term_code, alphabet):
     return _validated(fc, Formula, alphabet), _validated(tc, Term, alphabet)
 
 
-def _splice(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
-    """Code of ``codes`` with every ``target`` replaced by ``replacement``."""
+def _splice_code(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
+    """Code of ``codes`` with every ``target`` replaced by ``replacement``.
+
+    Equal to seq_encode of the spliced list, without building that list.
+    """
+    # (index, 2s + 1) of the replacement at positions 1..k; sorting by index
+    # sorts by (s, a), so t = 2s + 1 rises with the index too
+    block = sorted(
+        ((a + i) * (a + i + 1) + 2 * a + 1, 2 * (a + i) + 1) for i, a in enumerate(replacement, start=1)
+    )
     out: list[int] = []
+    p = 0  # symbols emitted so far
     for a in codes:
         if a == target:
-            out.extend(replacement)
+            pp = p * p
+            out += [e + p * t + pp for e, t in block]
+            p += len(replacement)
         else:
-            out.append(a)
-    return seq_encode(out)
+            p += 1
+            out.append((a + p) * (a + p + 1) + 2 * a + 1)
+    out.sort(reverse=True)
+    return _trusted_code(tuple(out), None if out else 0)
 
 
 def _free_spliced(
@@ -108,13 +131,13 @@ def _free_spliced(
     return out
 
 
-def _numeral_codes(c: SeqCode, max_bits: int, alphabet: Alphabet) -> list[int]:
+def _numeral_for(c: SeqCode, max_bits: int, alphabet: Alphabet) -> list[int]:
     """Symbol codes of the numeral for c's value; refuses past ``max_bits``."""
     if bits_estimate(c) > max_bits:
         raise NumeralTooLargeError(
             f"numeral too large: code is ~{bits_estimate(c)} bits, limit {max_bits}"
         )
-    return _to_codes(numeral(to_number(c, max_index=c.max_index)), alphabet)
+    return _numeral_codes(to_number(c, max_index=c.max_index), alphabet)
 
 
 def sub_z(
@@ -126,7 +149,7 @@ def sub_z(
     """Replace every occurrence of v_var (bound ones too) and re-encode."""
     alphabet = alphabet or DEFAULT_ALPHABET
     codes, replacement = _checked(formula_code, term_code, alphabet)
-    return _splice(codes, alphabet.var_code(var), replacement)
+    return _splice_code(codes, alphabet.var_code(var), replacement)
 
 
 def sub_free(
@@ -151,7 +174,7 @@ def diag(
     alphabet = alphabet or DEFAULT_ALPHABET
     c = as_code(code)
     codes = _validated(c, Formula, alphabet)
-    return _splice(codes, alphabet.var_code(var), _numeral_codes(c, max_bits, alphabet))
+    return _splice_code(codes, alphabet.var_code(var), _numeral_for(c, max_bits, alphabet))
 
 
 def fixed_point(
@@ -171,5 +194,5 @@ def fixed_point(
     target = alphabet.var_code(var)
     theta = _free_spliced(_validated(pc, Formula, alphabet), target, inner, alphabet)
     m = seq_encode(theta)
-    psi = _splice(theta, target, _numeral_codes(m, max_bits, alphabet))
+    psi = _splice_code(theta, target, _numeral_for(m, max_bits, alphabet))
     return psi, m

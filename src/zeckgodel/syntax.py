@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     ZeckGodelError,
 )
-from .seqcode import SeqCode, as_code, seq_decode, seq_encode, to_number
+from .seqcode import SeqCode, _index_text, as_code, seq_decode, seq_encode, to_number
 
 
 # --- ASTs ---------------------------------------------------------------
@@ -272,9 +272,7 @@ def _glyph(code: int, alphabet: Alphabet) -> str:
     """A symbol's name for error messages; never fails on a huge variable."""
     if code < alphabet.offset:
         return alphabet._by_code[code]
-    index = code - alphabet.offset
-    # 2**2048 has 617 digits, under every int/str digit limit Python accepts
-    return f"v{index}" if index.bit_length() <= 2048 else f"v<{index.bit_length()}-bit index>"
+    return f"v{_index_text(code - alphabet.offset)}"
 
 
 def _unexpected(codes: Sequence[int], i: int, alphabet: Alphabet, message: str) -> ZeckGodelError:
@@ -414,6 +412,26 @@ def numeral(n: int) -> Term:
         if bit == "1":
             node = Succ(node)
     return node
+
+
+def _numeral_codes(n: int, alphabet: Alphabet) -> list[int]:
+    """Prefix symbol codes of numeral(n), read straight off n's bits.
+
+    Equal to _to_codes(numeral(n), alphabet): the outermost node holds the
+    lowest bit, so each bit from the lowest up to the second-highest gives
+    ``S`` if it is 1, then ``· S S 0``, and the leading 1 ends it as ``S 0``.
+    """
+    zero, succ, times = alphabet.base["0"], alphabet.base["S"], alphabet.base["·"]
+    if n == 0:
+        return [zero]
+    double = (times, succ, succ, zero)
+    out: list[int] = []
+    for bit in reversed(bin(n)[3:]):
+        if bit == "1":
+            out.append(succ)
+        out += double
+    out += (succ, zero)
+    return out
 
 
 # --- proof-list codes ---------------------------------------------------

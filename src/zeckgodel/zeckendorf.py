@@ -22,10 +22,10 @@ from .numeric import FIB_TABLE_CAP, fib_index_bound, fib_table, split_fibs
 
 
 def is_valid_support(indices: Sequence[int]) -> bool:
-    """True iff strictly decreasing, all >= 1, and no two indices adjacent."""
+    """True iff all ints >= 1, strictly decreasing, and no two indices adjacent."""
     prev = None
     for e in indices:
-        if e < 1:
+        if not isinstance(e, int) or e < 1:
             return False
         if prev is not None and prev - e < 2:
             return False

@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeckgodel.errors import CodeTooLargeError, NotSequenceCodeError
+import sys
+
+from zeckgodel.errors import CodeTooLargeError, InvalidSupportError, NotSequenceCodeError
 from zeckgodel.numeric import cantor_pair, cantor_unpair
 from zeckgodel.seqcode import (
     SeqCode,
@@ -19,6 +21,8 @@ from zeckgodel.seqcode import (
     symbol_at,
     to_number,
 )
+
+from zeckgodel.zeckendorf import is_valid_support, z_encode
 
 from helpers import decode_attempt, pair_oracle, seq_number_oracle
 
@@ -199,3 +203,44 @@ def test_decode_unpairs_like_cantor_unpair(seq, stray):
         e = 2 * cantor_pair(stray, i) + 1
         assert not is_code(SeqCode(tuple(sorted((*support, e), reverse=True))))
     assert not is_code(SeqCode((2 * support[0] + 2, *support)))
+
+
+def test_seq_encode_rejects_items_that_are_not_naturals():
+    # -5 would pair like 0 and 1.5 would give the support [12.75]
+    for items in ([-5], [0, -1], [1.5], [3, "4"]):
+        with pytest.raises(InvalidSupportError):
+            seq_encode(items)
+    assert seq_encode([0]).support == (3,)
+
+
+def test_supports_with_non_int_indices_are_invalid():
+    assert not is_valid_support((12.75,))
+    with pytest.raises(InvalidSupportError):
+        SeqCode((12.75,))
+    with pytest.raises(InvalidSupportError):
+        z_encode([12.75])
+
+
+def test_repr_names_huge_indices_by_bit_length():
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if old is not None:
+            sys.set_int_max_str_digits(4300)
+        short = repr(seq_encode([10**5000]))
+        long = repr(seq_encode([10**5000] + [0] * 9))
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+    bits = seq_encode([10**5000]).max_index.bit_length()
+    assert short == f"SeqCode(support=[<{bits}-bit index>])"
+    assert long.startswith("SeqCode(support=[<") and long.endswith(", ...], len=10)")
+    assert repr(seq_encode([0, 0])) == "SeqCode(support=[7, 3])"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=300) | st.integers(min_value=2**64, max_value=2**200), max_size=24),
+       st.integers(min_value=0, max_value=2**3000))
+def test_library_built_supports_are_valid(seq, n):
+    # seq_encode and from_number skip the support check, so their outputs must pass it
+    assert is_valid_support(seq_encode(seq).support)
+    assert is_valid_support(from_number(n).support)

@@ -6,7 +6,7 @@ import pytest
 
 from zeckgodel.errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
 from zeckgodel.seqcode import is_code, seq_decode, seq_encode, seq_len, to_number
-from zeckgodel.substitution import diag, fixed_point, sub_free, sub_z
+from zeckgodel.substitution import _splice_code, diag, fixed_point, sub_free, sub_z
 from zeckgodel.syntax import (
     DEFAULT_ALPHABET,
     DiagFn,
@@ -299,3 +299,61 @@ def test_substitution_matches_old_composition(alphabet):
         old = sub_z(m, encode_syntax(numeral(to_number(m, max_index=m.max_index)), alphabet), var, alphabet)
         assert psi.support == old.support
         assert psi.support == diag(m, var, alphabet).support
+
+
+# --- the shifting splice encoder against the generic encoder ------------------
+
+def test_splice_code_matches_encoding_the_spliced_list():
+    rng = random.Random(31)
+    big = [2**64 + 3, 3**200, 10**300]  # nested codes carry bignum items
+    cases = [
+        ([16, 7, 8], 16, [9, 8]),  # target at position 1
+        ([7, 16, 16], 16, [9, 9, 8]),  # adjacent targets
+        ([16, 16, 16, 16], 16, [8]),  # nothing but targets
+        ([7, 8, 8], 16, [9, 8]),  # absent target
+        ([], 16, [9, 8]),
+        ([2, 16, 5, 16], 16, big),
+        ([big[0], 1, big[0], 0], big[0], [big[2], 0, big[1]]),  # a bignum target
+    ]
+    for _ in range(200):
+        pool = [0, 1, 2, 16, 17, rng.choice(big)]
+        codes = [rng.choice(pool) for _ in range(rng.randrange(0, 30))]
+        replacement = [rng.choice(pool + big) for _ in range(rng.randrange(1, 12))]
+        cases.append((codes, rng.choice(pool), replacement))
+    for codes, target, replacement in cases:
+        want = seq_encode(_spliced(codes, target, replacement))
+        got = _splice_code(codes, target, replacement)
+        assert got.support == want.support
+        assert got.number == want.number  # 0 for the empty code, else not yet known
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(5)], ids=["default", "offset40"])
+def test_substitutions_match_encoding_the_spliced_list(alphabet):
+    rng = random.Random(4242)
+
+    def codes(node):
+        return [alphabet.code_of(s) for s in flatten(node)]
+
+    formulas = [
+        Eq(Var(0), Var(0)),  # adjacent targets
+        Eq(Zero(), Succ(Var(1))),  # absent target
+        Imp(Eq(Var(0), Zero()), Forall(0, Eq(Var(0), Var(0)))),
+        Neg(ProvP(Var(0))),
+    ] + [random_formula(rng, depth=3, var_pool=(0, 1)) for _ in range(20)]
+    terms = [Var(2**200), Succ(Var(3**100)), numeral(2**70 + 5), Zero()]  # bignum variable codes
+    for phi in formulas:
+        t = rng.choice(terms + [random_term(rng, depth=2)])
+        fc, tc = encode_syntax(phi, alphabet), encode_syntax(t, alphabet)
+        target = alphabet.var_code(0)
+
+        assert sub_z(fc, tc, 0, alphabet).support == seq_encode(_spliced(codes(phi), target, codes(t))).support
+        assert sub_free(fc, tc, 0, alphabet).support == seq_encode(codes(_free_subst(phi, 0, t))).support
+
+        value = to_number(seq_encode(codes(phi)))
+        num = codes(numeral(value))
+        assert diag(fc, 0, alphabet).support == seq_encode(_spliced(codes(phi), target, num)).support
+
+        psi, m = fixed_point(fc, 0, alphabet)
+        theta = codes(_free_subst(phi, 0, DiagFn(Var(0))))
+        num = codes(numeral(to_number(seq_encode(theta))))
+        assert psi.support == seq_encode(_spliced(theta, target, num)).support

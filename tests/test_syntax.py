@@ -46,7 +46,7 @@ from zeckgodel.syntax import (
     parse,
     parse_text,
 )
-from zeckgodel.syntax import _from_codes, _to_codes
+from zeckgodel.syntax import _from_codes, _numeral_codes, _to_codes
 
 from helpers import eval_term, random_formula, shuffled_alphabet
 
@@ -402,3 +402,13 @@ def test_code_walker_and_parser_match_glyph_path(node):
         codes = [alphabet.code_of(g) for g in glyphs]
         assert _to_codes(node, alphabet) == codes
         assert _from_codes(codes, alphabet) == node
+
+
+@pytest.mark.parametrize("alphabet", _ALPHABETS, ids=["default", "offset40"])
+def test_numeral_codes_from_bits_match_the_walked_numeral(alphabet):
+    rng = random.Random(77)
+    values = [0, 1, 2, 3]
+    values += [v for k in (2, 3, 8, 31, 64, 100, 1000, 4999) for v in (2**k - 1, 2**k, 2**k + 1)]
+    values += [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(20)]
+    for n in values:
+        assert _numeral_codes(n, alphabet) == _to_codes(numeral(n), alphabet), n
