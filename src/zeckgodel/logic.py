@@ -4,6 +4,14 @@ A proof code is just the coded list of its formulas; the checker re-derives
 each step (axiom instance, modus ponens from two earlier steps, or
 generalization of an earlier step).  ``prov_bounded`` is an explicitly
 bounded witness search, not the unbounded provability predicate.
+
+Every check runs on symbol codes; no AST is built.  One span pass per
+formula (``syntax._spans``) gives each position the end of its subtree and
+an id, equal exactly for equal subtrees, from a table shared across a
+proof.  K, S, contraposition, eq_refl and forall_dist are prefix templates
+such as ``→ A → B A``: a glyph must equal the code at its place and a
+letter binds the id of the subtree there.  eq_subst and forall_inst are
+parallel walks over two subtrees with an explicit stack.
 """
 
 from __future__ import annotations
@@ -12,26 +20,18 @@ import json
 import os
 from dataclasses import dataclass
 
-from .errors import NotWffCodeError, TheoryConfigError
-from .seqcode import SeqCode, as_code
+from .errors import NotWffCodeError, TheoryConfigError, ZeckGodelError
+from .seqcode import SeqCode, as_code, seq_decode, seq_encode, to_number
 from .substitution import fixed_point
 from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
-    And,
-    Eq,
-    Exists,
-    Forall,
     Formula,
-    Imp,
     Neg,
     ProvP,
-    Term,
     Var,
-    _proof_steps,
+    _spans,
     _to_codes,
-    decode_syntax,
-    encode_proof,
     encode_syntax,
     is_wff_code,
     parse_text,
@@ -94,177 +94,166 @@ def load_theory(source) -> TheoryConfig:
 
 
 # --- axiom schema matching ----------------------------------------------
+#
+# A matcher reads the formula starting at position p of a span-passed code
+# list, given as its codes, subtree ids and subtree ends.
 
-def _same(x, y) -> bool:
-    """Structural equality without recursion, on the nodes' symbol codes."""
-    return x is y or (type(x) is type(y) and _to_codes(x, DEFAULT_ALPHABET) == _to_codes(y, DEFAULT_ALPHABET))
-
-
-def _match_k(f: Formula) -> bool:
-    return isinstance(f, Imp) and isinstance(f.right, Imp) and _same(f.right.right, f.left)
-
-
-def _match_s(f: Formula) -> bool:
-    # (A -> (B -> C)) -> ((A -> B) -> (A -> C))
-    if not (isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.left.right, Imp)):
-        return False
-    a, b, c = f.left.left, f.left.right.left, f.left.right.right
-    r = f.right
-    return (
-        isinstance(r, Imp)
-        and _same(r.left, Imp(a, b))
-        and _same(r.right, Imp(a, c))
-    )
-
-
-def _match_contraposition(f: Formula) -> bool:
-    # (!B -> !A) -> (A -> B)
-    if not (isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.right, Imp)):
-        return False
-    lhs, rhs = f.left, f.right
-    return (
-        isinstance(lhs.left, Neg)
-        and isinstance(lhs.right, Neg)
-        and _same(lhs.left.arg, rhs.right)
-        and _same(lhs.right.arg, rhs.left)
-    )
-
-
-def _match_eq_refl(f: Formula) -> bool:
-    return isinstance(f, Eq) and _same(f.left, f.right)
-
-
-def _replaced_some(p, q, s: Term, t: Term) -> bool:
-    """q arises from p by replacing some (possibly zero) occurrences of s by t."""
-    if p == q:
-        return True
-    if p == s and q == t:
-        return True
-    if type(p) is not type(q) or not isinstance(p, (Term, Formula)):
-        return False
-    return all(
-        _replaced_some(getattr(p, name), getattr(q, name), s, t)
-        for name in p.__dataclass_fields__
-    )
-
-
-def _match_eq_subst(f: Formula) -> bool:
-    # s = t -> (phi -> phi'), phi' from phi by replacing occurrences of s by t
-    if not (isinstance(f, Imp) and isinstance(f.left, Eq) and isinstance(f.right, Imp)):
-        return False
-    s, t = f.left.left, f.left.right
-    return _replaced_some(f.right.left, f.right.right, s, t)
-
-
-def _term_vars(t: Term) -> set[int]:
-    out: set[int] = set()
-    stack: list[Term] = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            out.add(x.index)
-            continue
-        for name in getattr(x, "__dataclass_fields__", {}):
-            child = getattr(x, name)
-            if isinstance(child, Term):
-                stack.append(child)
-    return out
-
-
-def _match_forall_inst(f: Formula) -> bool:
-    # forall x phi -> phi[x := t], t the same term at every free site,
-    # with no variable of t captured by a binder above a site
-    if not (isinstance(f, Imp) and isinstance(f.left, Forall)):
-        return False
-    var, body, inst = f.left.var, f.left.body, f.right
-    cell: list[Term | None] = [None]
-
-    def walk(b, q, binders: frozenset) -> bool:
-        if isinstance(b, Var) and b.index == var and var not in binders:
-            if not isinstance(q, Term):
-                return False
-            if cell[0] is None:
-                cell[0] = q
-            elif cell[0] != q:
-                return False
-            return not (_term_vars(q) & binders)
-        if type(b) is not type(q):
-            return False
-        if isinstance(b, (Forall, Exists)):
-            if b.var != q.var:
-                return False
-            return walk(b.body, q.body, binders | {b.var})
-        fields = getattr(b, "__dataclass_fields__", {})
-        if not fields:
-            return b == q
-        for name in fields:
-            cb, cq = getattr(b, name), getattr(q, name)
-            if isinstance(cb, (Term, Formula)):
-                if not walk(cb, cq, binders):
-                    return False
-            elif cb != cq:
-                return False
-        return True
-
-    return walk(body, inst, frozenset())
-
-
-def _match_forall_dist(f: Formula) -> bool:
-    # forall x (phi -> psi) -> (forall x phi -> forall x psi)
-    if not (isinstance(f, Imp) and isinstance(f.left, Forall) and isinstance(f.left.body, Imp)):
-        return False
-    v = f.left.var
-    p, q = f.left.body.left, f.left.body.right
-    return _same(f.right, Imp(Forall(v, p), Forall(v, q)))
-
-
-_SCHEMA_MATCHERS = {
-    "K": _match_k,
-    "S": _match_s,
-    "contraposition": _match_contraposition,
-    "eq_refl": _match_eq_refl,
-    "eq_subst": _match_eq_subst,
-    "forall_inst": _match_forall_inst,
-    "forall_dist": _match_forall_dist,
+_TEMPLATES = {
+    "K": "→ A → B A",
+    "S": "→ → A → B C → → A B → A C",
+    "contraposition": "→ → ¬ B ¬ A → A B",
+    "eq_refl": "= A A",
+    "forall_dist": "→ ∀ x → A B → ∀ x A ∀ x B",
 }
 
 
-def _axiom_test(theory: TheoryConfig, alphabet: Alphabet):
-    """The theory's axiom predicate, ``test(f, codes=None)``.
+def _fits(template: list, codes, ids, ends, p: int) -> bool:
+    bound: dict[str, int] = {}
+    for tok in template:
+        if type(tok) is int:
+            if codes[p] != tok:
+                return False
+            p += 1
+        else:
+            x = ids[p]
+            if bound.setdefault(tok, x) != x:
+                return False
+            p = ends[p]
+    return True
 
-    Extra axioms are looked up by their symbol codes in a set built once;
-    pass ``codes`` when f's codes under ``alphabet`` are already known.
+
+def _eq_subst(codes, ids, ends, p: int, alphabet: Alphabet) -> bool:
+    """``→ = s t → φ φ'``, φ' from φ by replacing some occurrences of s by t.
+
+    A parallel walk over φ and φ' with an explicit stack; the variable of a
+    quantifier is not an occurrence.
     """
-    matchers = [_SCHEMA_MATCHERS[name] for name in theory.schemas]
-    extra = {tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms}
+    base, sig = alphabet.base, alphabet._sig
+    if codes[p] != base["→"] or codes[p + 1] != base["="]:
+        return False
+    s = p + 2
+    t = ends[s]
+    q = ends[t]
+    if codes[q] != base["→"]:
+        return False
+    sid, tid = ids[s], ids[t]
+    stack = [(q + 1, ends[q + 1])]
+    while stack:
+        x, y = stack.pop()
+        if ids[x] == ids[y] or ids[x] == sid and ids[y] == tid:
+            continue
+        a = codes[x]
+        if a != codes[y]:
+            return False
+        # equal leaves have equal ids, so a is a head with operands
+        k, first, _, _ = sig[a]
+        x, y = x + 1, y + 1
+        if first == 2:
+            if codes[x] != codes[y]:
+                return False
+            stack.append((x + 1, y + 1))
+            continue
+        for _ in range(k):
+            stack.append((x, y))
+            x, y = ends[x], ends[y]
+    return True
 
-    def test(f: Formula, codes: tuple[int, ...] | None = None) -> bool:
-        if extra and (tuple(_to_codes(f, alphabet)) if codes is None else codes) in extra:
+
+def _forall_inst(codes, ids, ends, p: int, alphabet: Alphabet) -> bool:
+    """``→ ∀ x φ ψ``, ψ = φ[x := t] with t the same term at every free site
+    of x, and no variable of t bound by a quantifier above a site.
+
+    A parallel walk over φ and ψ with an explicit stack, each pair carrying
+    the variables bound above it; t is held as its id.
+    """
+    base, sig, offset = alphabet.base, alphabet._sig, alphabet.offset
+    if codes[p] != base["→"] or codes[p + 1] != base["∀"]:
+        return False
+    var = codes[p + 2]
+    stack = [(p + 3, ends[p + 1], frozenset())]
+    term = None
+    while stack:
+        x, y, binders = stack.pop()
+        a = codes[x]
+        if a == var and var not in binders:
+            if term is None:
+                term = ids[y]
+                term_vars = {c for c in codes[y:ends[y]] if c >= offset}
+            elif ids[y] != term:
+                return False
+            if not term_vars.isdisjoint(binders):
+                return False
+            continue
+        if a != codes[y]:
+            return False
+        if a >= offset:
+            continue
+        k, first, _, _ = sig[a]
+        x, y = x + 1, y + 1
+        if first == 2:
+            if codes[x] != codes[y]:
+                return False
+            stack.append((x + 1, y + 1, binders | {codes[x]}))
+            continue
+        for _ in range(k):
+            stack.append((x, y, binders))
+            x, y = ends[x], ends[y]
+    return True
+
+
+_WALKS = {"eq_subst": _eq_subst, "forall_inst": _forall_inst}
+
+
+def _axiom_test(theory: TheoryConfig, alphabet: Alphabet):
+    """The theory's axiom predicate, ``test(codes, ids, ends, p=0)``, on the
+    formula at p of a span-passed list.
+
+    Extra axioms are looked up by their symbol codes in a set built once.
+    """
+    extra = {tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms}
+    templates = [
+        [alphabet.base.get(tok, tok) for tok in _TEMPLATES[name].split()]
+        for name in theory.schemas
+        if name in _TEMPLATES
+    ]
+    walks = [_WALKS[name] for name in theory.schemas if name in _WALKS]
+
+    def test(codes, ids, ends, p: int = 0) -> bool:
+        if extra and tuple(codes[p:ends[p]]) in extra:
             return True
-        return any(match(f) for match in matchers)
+        return any(_fits(t, codes, ids, ends, p) for t in templates) or any(
+            walk(codes, ids, ends, p, alphabet) for walk in walks
+        )
 
     return test
 
 
 def is_axiom(f: Formula, theory: TheoryConfig | None = None) -> bool:
-    return _axiom_test(theory or default_theory(), DEFAULT_ALPHABET)(f)
+    codes = _to_codes(f, DEFAULT_ALPHABET)
+    spans = _spans(codes, DEFAULT_ALPHABET, {})
+    return spans is not None and _axiom_test(theory or default_theory(), DEFAULT_ALPHABET)(codes, *spans)
 
 
 def check_mp(p: Formula, q: Formula, r: Formula) -> bool:
     """True iff q is structurally p -> r."""
-    return isinstance(q, Imp) and _same(q.left, p) and _same(q.right, r)
+    return _to_codes(q, DEFAULT_ALPHABET) == [
+        DEFAULT_ALPHABET.base["→"], *_to_codes(p, DEFAULT_ALPHABET), *_to_codes(r, DEFAULT_ALPHABET)
+    ]
 
 
 def check_mp_codes(pc, qc, rc, alphabet: Alphabet | None = None) -> bool:
+    """True iff p and r are wff codes and q codes p -> r."""
+    alphabet = alphabet or DEFAULT_ALPHABET
     try:
-        p = decode_syntax(as_code(pc), alphabet)
-        q = decode_syntax(as_code(qc), alphabet)
-        r = decode_syntax(as_code(rc), alphabet)
-    except Exception:
+        p, q, r = seq_decode(pc), seq_decode(qc), seq_decode(rc)
+    except ZeckGodelError:
         return False
-    if not all(isinstance(x, Formula) for x in (p, q, r)):
-        return False
-    return check_mp(p, q, r)
+    # the codes of a wff end where its tree does, so q's split is p's length
+    return (
+        _spans(p, alphabet, {}) is not None
+        and _spans(r, alphabet, {}) is not None
+        and q == [alphabet.base["→"], *p, *r]
+    )
 
 
 # --- structured proofs ---------------------------------------------------
@@ -287,27 +276,37 @@ class Proof:
 def check_structured_proof(proof: Proof, theory: TheoryConfig | None = None) -> bool:
     """Validate a proof with explicit justifications (indices strictly earlier)."""
     theory = theory or default_theory()
-    axiom = _axiom_test(theory, DEFAULT_ALPHABET)
+    alphabet = DEFAULT_ALPHABET
+    axiom = _axiom_test(theory, alphabet)
+    imp, forall = alphabet.base["→"], alphabet.base["∀"]
+    table: dict = {}
+    spans = []  # (codes, ids, ends) of each earlier step, ids from one table
     for i, step in enumerate(proof.steps):
+        codes = _to_codes(step.formula, alphabet)
+        s = _spans(codes, alphabet, table)
+        if s is None:
+            return False
+        ids, ends = s
         j = step.justification
         if j[0] == "axiom":
-            if not axiom(step.formula):
+            if not axiom(codes, ids, ends):
                 return False
         elif j[0] == "mp":
             _, a, b = j
             if not (theory.modus_ponens and 0 <= a < i and 0 <= b < i):
                 return False
-            if not check_mp(proof.steps[a].formula, proof.steps[b].formula, step.formula):
+            q_codes, q_ids, q_ends = spans[b]
+            if not (q_codes[0] == imp and q_ids[1] == spans[a][1][0] and q_ids[q_ends[1]] == ids[0]):
                 return False
         elif j[0] == "gen":
             _, a, v = j
             if not (theory.generalization and 0 <= a < i):
                 return False
-            f = step.formula
-            if not (isinstance(f, Forall) and f.var == v and _same(f.body, proof.steps[a].formula)):
+            if not (codes[0] == forall and codes[1] - alphabet.offset == v and ids[2] == spans[a][1][0]):
                 return False
         else:
             return False
+        spans.append((codes, ids, ends))
     return len(proof.steps) > 0
 
 
@@ -320,67 +319,51 @@ def check_proof(
 ) -> bool:
     """Total predicate: malformed codes and invalid derivations are False.
 
-    Two formulas are equal exactly when their symbol codes are, so each step
-    is checked by set and dict lookups on code tuples: linear in the proof's
-    symbols.
+    Each step is decoded to its symbol codes only when it is checked, and
+    the check stops at the first step that is not justified.  One span pass
+    per step, with an id table shared across the proof, gives every subtree
+    an id; earlier steps and each earlier implication's conclusion -> premise
+    are then kept by id, so a step is checked by set and dict lookups and
+    the axiom matchers: linear in the proof's symbols.
     """
     theory = theory or default_theory()
     alphabet = alphabet or DEFAULT_ALPHABET
     try:
-        steps = _proof_steps(as_code(proof_code), alphabet)
-    except Exception:
+        values = seq_decode(proof_code)
+    except ZeckGodelError:
         return False
-    if not steps:
+    if not values:
         return False
     axiom = _axiom_test(theory, alphabet)
     imp, forall = alphabet.base["→"], alphabet.base["∀"]
-    seen: set[tuple[int, ...]] = set()  # every earlier step
-    premises: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # conclusion -> premise of each earlier implication
-    for f, k in steps:
+    table: dict = {}
+    seen: set[int] = set()  # ids of every earlier step
+    premises: dict[int, list[int]] = {}  # conclusion id -> premise id of each earlier implication
+    for value in values:
+        try:
+            codes = seq_decode(value)
+        except ZeckGodelError:
+            return False
+        spans = _spans(codes, alphabet, table)
+        if spans is None:
+            return False
+        ids, ends = spans
+        f = ids[0]
         # a repeated step is justified as its first occurrence was
         if not (
-            k in seen
-            or axiom(f, k)
-            or theory.modus_ponens and any(p in seen for p in premises.get(k, ()))
-            or theory.generalization and k[0] == forall and k[2:] in seen
+            f in seen
+            or theory.modus_ponens and any(p in seen for p in premises.get(f, ()))
+            or theory.generalization and codes[0] == forall and ids[2] in seen
+            or axiom(codes, ids, ends)
         ):
             return False
-        seen.add(k)
-        if k[0] == imp:
-            split = _premise_end(k, alphabet)
-            premises.setdefault(k[split:], []).append(k[1:split])
+        seen.add(f)
+        if codes[0] == imp:
+            premises.setdefault(ids[ends[1]], []).append(ids[1])
     return True
 
 
-def _premise_end(codes: tuple[int, ...], alphabet: Alphabet) -> int:
-    """End of the premise in an implication's codes ``→ p r``: an arity scan."""
-    heads, offset = alphabet._heads, alphabet.offset
-    need, i = 1, 1
-    while need:
-        a = codes[i]
-        need += -1 if a >= offset else len(heads[a][1]) - 1
-        i += 1
-    return i
-
-
 # --- bounded provability search -------------------------------------------
-
-def _subformulas(f: Formula) -> list[Formula]:
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        x = stack.pop()
-        out.append(x)
-        for name in getattr(x, "__dataclass_fields__", {}):
-            child = getattr(x, name)
-            if isinstance(child, Formula):
-                stack.append(child)
-    return out
-
-
-def _key(f: Formula, alphabet: Alphabet) -> tuple[int, ...]:
-    return tuple(_to_codes(f, alphabet))
-
 
 def prov_bounded(
     target: "SeqCode | int",
@@ -394,34 +377,47 @@ def prov_bounded(
     subformula of the target/axioms that is itself an axiom instance.
     Deterministic: facts are scanned in code order, and the first derivation
     whose dependency closure fits the bound is returned.  Generalization
-    steps are accepted by check_proof but not searched here.
+    steps are accepted by check_proof but not searched here.  Formulas are
+    kept as symbol-code tuples, and each implication is split into premise
+    and conclusion once, when it enters the pool.
     """
     theory = theory or default_theory()
     alphabet = alphabet or DEFAULT_ALPHABET
     tc = as_code(target)
     if not is_wff_code(tc, alphabet):
         raise NotWffCodeError("not a wff code")
-    goal = decode_syntax(tc, alphabet)
-    assert isinstance(goal, Formula)
+    goal = tuple(seq_decode(tc))
 
     axiom = _axiom_test(theory, alphabet)
-    seeds: list[Formula] = list(theory.extra_axioms)
-    for f in [goal, *theory.extra_axioms]:
-        for sub in _subformulas(f):
-            if axiom(sub):
-                seeds.append(sub)
+    extra = [tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms]
+    seeds = set(extra)
+    for codes in [goal, *extra]:
+        spans = _spans(codes, alphabet, {})
+        if spans is None:
+            continue
+        ids, ends = spans
+        for p in range(len(codes)):
+            if ids[p] & 1 and axiom(codes, ids, ends, p):
+                seeds.add(codes[p:ends[p]])
 
-    # pool: key -> (formula, parents); parents is None for axiom steps
-    pool: dict[tuple, tuple[Formula, tuple | None]] = {}
-    for f in sorted(seeds, key=lambda x: _key(x, alphabet)):
-        pool.setdefault(_key(f, alphabet), (f, None))
+    imp = alphabet.base["→"]
+    pool: dict[tuple, tuple | None] = {}  # key -> parents; None for axiom steps
+    splits: dict[tuple, tuple[tuple, tuple]] = {}  # implication -> (premise, conclusion)
 
-    goal_key = _key(goal, alphabet)
+    def enter(k: tuple, parents: tuple | None) -> None:
+        pool[k] = parents
+        spans = _spans(k, alphabet, {}) if k[0] == imp else None
+        if spans is not None:
+            e = spans[1][1]
+            splits[k] = (k[1:e], k[e:])
+
+    for k in sorted(seeds):
+        enter(k, None)
 
     def witness() -> SeqCode | None:
         order: list[tuple] = []
         seen: set[tuple] = set()
-        stack = [(goal_key, False)]
+        stack = [(goal, False)]
         while stack:
             k, expanded = stack.pop()
             if expanded:
@@ -431,42 +427,30 @@ def prov_bounded(
                 continue
             seen.add(k)
             stack.append((k, True))
-            parents = pool[k][1]
+            parents = pool[k]
             if parents:
                 stack.extend((p, False) for p in reversed(parents))
         if len(order) > bound:
             return None
-        index = {k: i for i, k in enumerate(order)}
-        steps = []
-        for k in order:
-            f, parents = pool[k]
-            just = ("axiom",) if parents is None else ("mp", index[parents[0]], index[parents[1]])
-            steps.append(ProofStep(f, just))
-        return encode_proof([s.formula for s in steps], alphabet)
+        return seq_encode([to_number(seq_encode(k)) for k in order])
 
-    if goal_key in pool:
+    if goal in pool:
         return witness() if bound >= 1 else None
 
     if not theory.modus_ponens:
         return None
 
     for _ in range(max(bound, 0)):
-        derived: dict[tuple, tuple[Formula, tuple]] = {}
-        for qk, (q, _) in sorted(pool.items()):
-            if not isinstance(q, Imp):
-                continue
-            pk = _key(q.left, alphabet)
-            if pk not in pool:
-                continue
-            rk = _key(q.right, alphabet)
-            if rk in pool or rk in derived:
-                continue
-            derived[rk] = (q.right, (pk, qk))
+        derived: dict[tuple, tuple] = {}
+        for qk in sorted(splits):
+            pk, rk = splits[qk]
+            if pk in pool and rk not in pool and rk not in derived:
+                derived[rk] = (pk, qk)
         if not derived:
             return None
         for rk in sorted(derived):
-            pool[rk] = derived[rk]
-        if goal_key in pool:
+            enter(rk, derived[rk])
+        if goal in pool:
             return witness()
     return None
 

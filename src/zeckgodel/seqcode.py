@@ -70,9 +70,15 @@ def _trusted_code(support: tuple[int, ...], number: int | None = None) -> SeqCod
 
 
 def as_code(value: "SeqCode | int") -> SeqCode:
-    """Coerce an exact natural to a SeqCode; SeqCodes pass through."""
+    """Coerce an exact natural to a SeqCode; SeqCodes pass through.
+
+    Anything else raises InvalidSupportError.  A bool is an int here, as
+    in seq_encode: True codes like 1 and False like 0.
+    """
     if isinstance(value, SeqCode):
         return value
+    if not isinstance(value, int) or value < 0:
+        raise InvalidSupportError("a code must be a SeqCode or a natural number")
     return from_number(value)
 
 
@@ -124,10 +130,10 @@ def seq_encode(items: Sequence[int]) -> SeqCode:
     return _trusted_code(tuple(indices), 0 if not indices else None)
 
 
-def _positions(c: SeqCode) -> list[tuple[int, int]] | None:
-    """Recovered (position, value) pairs, or None if not a sequence code."""
+def _positions(c: SeqCode) -> list[int] | None:
+    """The coded items in position order, or None if not a sequence code."""
     m = len(c.support)
-    seen = []
+    items: list[int | None] = [None] * m
     for e in c.support:
         if not e & 1:
             return None
@@ -136,38 +142,45 @@ def _positions(c: SeqCode) -> list[tuple[int, int]] | None:
         w = (isqrt(8 * p + 1) - 1) >> 1
         a = p - (w * (w + 1) >> 1)
         i = w - a
-        if not 1 <= i <= m:
+        # m items in m distinct slots fill every slot
+        if not 1 <= i <= m or items[i - 1] is not None:
             return None
-        seen.append((i, a))
-    seen.sort()
-    if [i for i, _ in seen] != list(range(1, m + 1)):
+        items[i - 1] = a
+    return items
+
+
+def _items(c: "SeqCode | int") -> list[int] | None:
+    """_positions of any value: None for a non-code, a non-natural included."""
+    try:
+        c = as_code(c)
+    except InvalidSupportError:
         return None
-    return seen
+    return _positions(c)
 
 
 def is_code(c: "SeqCode | int") -> bool:
-    return _positions(as_code(c)) is not None
+    return _items(c) is not None
 
 
 def seq_decode(c: "SeqCode | int") -> list[int]:
-    pairs = _positions(as_code(c))
-    if pairs is None:
+    items = _positions(as_code(c))
+    if items is None:
         raise NotSequenceCodeError("not a sequence code")
-    return [a for _, a in pairs]
+    return items
 
 
 def seq_len(c: "SeqCode | int") -> int:
     """Number of coded elements; 0 for anything that is not a code."""
-    c = as_code(c)
-    return len(c.support) if is_code(c) else 0
+    items = _items(c)
+    return 0 if items is None else len(items)
 
 
 def symbol_at(c: "SeqCode | int", i: int) -> int:
     """The i-th element (1-based, by recovered position); 0 when undefined."""
-    pairs = _positions(as_code(c))
-    if pairs is None or not 1 <= i <= len(pairs):
+    items = _items(c)
+    if items is None or not 1 <= i <= len(items):
         return 0
-    return pairs[i - 1][1]
+    return items[i - 1]
 
 
 def concat(left: "SeqCode | int", right: "SeqCode | int") -> SeqCode:

@@ -10,6 +10,12 @@ frame-machine parser (``_from_codes``), both iterative, since numerals for
 multi-thousand-bit values nest far deeper than any recursion limit.  A
 variable is decoded as ``code - offset``, never through text.  ``flatten``,
 ``parse`` and ``format_text`` are glyph-string wrappers over the two.
+
+The proof checker reads formulas through a third pass, ``_spans``: one
+right-to-left pass over a formula's codes that checks operand categories
+and gives each position the end of its subtree and an integer id, equal
+for two subtrees exactly when their codes are (hash-consing on code spans).
+AST nodes compare and hash by their symbol codes, so ``==`` never recurses.
 """
 
 from __future__ import annotations
@@ -27,92 +33,111 @@ from .errors import (
     ParseError,
     ZeckGodelError,
 )
-from .seqcode import SeqCode, _index_text, as_code, seq_decode, seq_encode, to_number
+from .seqcode import SeqCode, _index_text, seq_decode, seq_encode, to_number
 
 
 # --- ASTs ---------------------------------------------------------------
 
+def _node_eq(x, y):
+    """Same node type and same symbol codes: iterative, so any depth compares."""
+    if x is y:
+        return True
+    if type(x) is not type(y):
+        return NotImplemented
+    return _to_codes(x, DEFAULT_ALPHABET) == _to_codes(y, DEFAULT_ALPHABET)
+
+
+def _node_hash(x) -> int:
+    return hash(tuple(_to_codes(x, DEFAULT_ALPHABET)))
+
+
+# The node classes are declared eq=False and inherit these: a generated
+# __eq__ recurses once per level, and a numeral nests one level per bit.
 class Term:
     __slots__ = ()
+    __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 class Formula:
     __slots__ = ()
+    __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Succ(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Plus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Times(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DiagFn(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ProvP(Formula):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Forall(Formula):
     var: int
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Exists(Formula):
     var: int
     body: Formula
@@ -140,6 +165,8 @@ _GRAMMAR: dict[str, tuple[type, tuple[str, ...]]] = {
 _BASE_GLYPHS = tuple(_GRAMMAR)
 _VAR_RE = re.compile(r"^v(\d+)$")
 _BINDER = 3  # _to_codes shape of a quantifier; the others are their operand counts
+# a slot or category as the parity of a span-pass id; 2 is a bound variable
+_SLOT_PARITY = {"t": 0, "f": 1, "v": 2}
 
 
 @dataclass(frozen=True)
@@ -166,12 +193,19 @@ class Alphabet:
         heads = {}
         # constructor -> (code, shape): the walker's table
         emit = {}
+        # code -> (operand count, first slot, second slot, category): the span
+        # pass's table, slots and category as id parities (_SLOT_PARITY)
+        sig = {}
         for glyph, code in self.base.items():
             ctor, slots = _GRAMMAR[glyph]
-            heads[code] = (ctor, slots, "t" if issubclass(ctor, Term) else "f")
+            category = "t" if issubclass(ctor, Term) else "f"
+            heads[code] = (ctor, slots, category)
             emit[ctor] = (code, _BINDER if slots[:1] == ("v",) else len(slots))
+            first, second = ([_SLOT_PARITY[x] for x in slots] + [None, None])[:2]
+            sig[code] = (len(slots), first, second, _SLOT_PARITY[category])
         object.__setattr__(self, "_heads", heads)
         object.__setattr__(self, "_emit", emit)
+        object.__setattr__(self, "_sig", sig)
 
     def code_of(self, symbol: str) -> int:
         m = _VAR_RE.match(symbol)
@@ -336,6 +370,61 @@ def _from_codes(codes: Sequence[int], alphabet: Alphabet, expect: str | None = N
     return root
 
 
+# --- the span pass --------------------------------------------------------
+
+def _spans(codes: Sequence[int], alphabet: Alphabet, table: dict) -> tuple[list[int], list[int]] | None:
+    """(ids, ends) of a formula's prefix codes, or None unless they code a wff.
+
+    One right-to-left pass with a stack of positions checks each operand's
+    category and records, for each position i, ``ends[i]``, the end of the
+    subtree that starts there, and ``ids[i]``, an integer that is equal for
+    two subtrees exactly when their codes are.  A leaf of code a has id
+    ``-2a - 2``; a head with operands has id ``2k + c``, k being its
+    (head, child ids) key's index in ``table`` and c 1 for a formula, 0 for a
+    term.  Sharing ``table`` across calls makes ids comparable between their
+    results (hash-consing on code spans).
+    """
+    sig, offset = alphabet._sig, alphabet.offset
+    n = len(codes)
+    ids = [0] * n
+    ends = [0] * n
+    stack: list[int] = []  # positions of the subtrees right of i, first operand on top
+    for i in range(n - 1, -1, -1):
+        a = codes[i]
+        if a < offset:
+            head = sig.get(a)
+            if head is None:
+                return None
+            k, first, second, category = head
+        else:
+            k = 0
+        if not k:
+            ids[i] = -2 * a - 2
+            ends[i] = i + 1
+            stack.append(i)
+            continue
+        if len(stack) < k:
+            return None
+        p = stack.pop()
+        x = ids[p]
+        if codes[p] < offset if first == 2 else x & 1 != first:
+            return None
+        if k == 2:
+            p = stack.pop()
+            y = ids[p]
+            if y & 1 != second:
+                return None
+            key: tuple = (a, x, y)
+        else:
+            key = (a, x)
+        ids[i] = 2 * table.setdefault(key, len(table)) + category
+        ends[i] = ends[p]
+        stack.append(i)
+    if len(stack) != 1 or not ids[0] & 1:
+        return None
+    return ids, ends
+
+
 # --- glyph strings ------------------------------------------------------
 
 def flatten(node: "Term | Formula") -> list[str]:
@@ -383,14 +472,14 @@ def decode_syntax(c: "SeqCode | int", alphabet: Alphabet | None = None) -> "Term
 def is_wff_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
     try:
         return isinstance(decode_syntax(c, alphabet), Formula)
-    except Exception:
+    except ZeckGodelError:
         return False
 
 
 def is_term_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
     try:
         return isinstance(decode_syntax(c, alphabet), Term)
-    except Exception:
+    except ZeckGodelError:
         return False
 
 
@@ -442,21 +531,16 @@ def encode_proof(formulas: Sequence[Formula], alphabet: Alphabet | None = None) 
 
 
 def decode_proof(c: "SeqCode | int", alphabet: Alphabet | None = None) -> list[Formula]:
-    return [f for f, _ in _proof_steps(c, alphabet or DEFAULT_ALPHABET)]
-
-
-def _proof_steps(c: "SeqCode | int", alphabet: Alphabet) -> list[tuple[Formula, tuple[int, ...]]]:
-    """Each element of a proof code, decoded once: (formula, its symbol codes)."""
+    alphabet = alphabet or DEFAULT_ALPHABET
     out = []
     for pos, value in enumerate(seq_decode(c), start=1):
         try:
-            codes = seq_decode(as_code(value))
-            node = _from_codes(codes, alphabet)
-        except Exception as exc:
+            node = _from_codes(seq_decode(value), alphabet)
+        except ZeckGodelError as exc:
             raise NotProofCodeError(f"element {pos} is not a wff code: {exc}") from exc
         if not isinstance(node, Formula):
             raise NotProofCodeError(f"element {pos} is not a wff code")
-        out.append((node, tuple(codes)))
+        out.append(node)
     return out
 
 

@@ -1,10 +1,13 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zeckgodel.errors import NotWffCodeError, TheoryConfigError
+from zeckgodel.errors import NotWffCodeError, TheoryConfigError, ZeckGodelError
 from zeckgodel.logic import (
+    SCHEMA_NAMES,
     Proof,
     ProofStep,
     TheoryConfig,
@@ -17,8 +20,9 @@ from zeckgodel.logic import (
     is_axiom,
     load_theory,
     prov_bounded,
+    _axiom_test,
 )
-from zeckgodel.seqcode import bits_estimate, seq_encode, seq_len, to_number
+from zeckgodel.seqcode import SeqCode, bits_estimate, is_code, seq_decode, seq_encode, seq_len, to_number
 from zeckgodel.substitution import diag
 from zeckgodel.syntax import (
     DEFAULT_ALPHABET,
@@ -26,22 +30,30 @@ from zeckgodel.syntax import (
     Eq,
     Exists,
     Forall,
+    Formula,
     Imp,
     Neg,
     Plus,
     ProvP,
     Succ,
+    Term,
     Var,
     Zero,
+    _from_codes,
+    _spans,
+    _to_codes,
     decode_proof,
     decode_syntax,
     encode_proof,
     encode_syntax,
     flatten,
+    format_text,
+    is_term_code,
+    is_wff_code,
     numeral,
 )
 
-from helpers import random_formula, shuffled_alphabet
+from helpers import random_formula, random_term, shuffled_alphabet
 
 A = Eq(Zero(), Zero())
 B = Forall(0, Eq(Var(0), Var(0)))
@@ -404,3 +416,211 @@ def test_check_proof_matches_quadratic_scan(alphabet):
         tampered = seq_encode([to_number(seq_encode(s)) for s in symbols])
         assert check_proof(tampered, theory, alphabet) == _quadratic_check(tampered, theory, alphabet)
     assert 20 <= sum(verdicts) <= 60  # both verdicts well represented
+
+
+# --- the code matchers against the AST matchers they replaced ----------------
+
+def _ast_same(x, y):
+    return x is y or (type(x) is type(y) and flatten(x) == flatten(y))
+
+
+def _ast_replaced_some(p, q, s, t):
+    if p == q or p == s and q == t:
+        return True
+    if type(p) is not type(q) or not isinstance(p, (Term, Formula)):
+        return False
+    return all(_ast_replaced_some(getattr(p, f.name), getattr(q, f.name), s, t) for f in fields(p))
+
+
+def _ast_term_vars(t):
+    if isinstance(t, Var):
+        return {t.index}
+    return set().union(*(_ast_term_vars(getattr(t, f.name)) for f in fields(t)))
+
+
+def _ast_forall_inst(f):
+    if not (isinstance(f, Imp) and isinstance(f.left, Forall)):
+        return False
+    var, cell = f.left.var, []
+
+    def walk(b, q, binders):
+        if isinstance(b, Var) and b.index == var and var not in binders:
+            if not isinstance(q, Term) or cell and cell[0] != q:
+                return False
+            cell[:1] = [q]
+            return not (_ast_term_vars(q) & binders)
+        if type(b) is not type(q):
+            return False
+        if isinstance(b, (Forall, Exists)):
+            return b.var == q.var and walk(b.body, q.body, binders | {b.var})
+        return all(
+            walk(getattr(b, f.name), getattr(q, f.name), binders) if isinstance(getattr(b, f.name), (Term, Formula))
+            else getattr(b, f.name) == getattr(q, f.name)
+            for f in fields(b)
+        )
+
+    return walk(f.left.body, f.right, frozenset())
+
+
+_AST_MATCHERS = {
+    "K": lambda f: isinstance(f, Imp) and isinstance(f.right, Imp) and _ast_same(f.right.right, f.left),
+    "S": lambda f: (
+        isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.left.right, Imp)
+        and isinstance(f.right, Imp)
+        and _ast_same(f.right.left, Imp(f.left.left, f.left.right.left))
+        and _ast_same(f.right.right, Imp(f.left.left, f.left.right.right))
+    ),
+    "contraposition": lambda f: (
+        isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.right, Imp)
+        and isinstance(f.left.left, Neg) and isinstance(f.left.right, Neg)
+        and _ast_same(f.left.left.arg, f.right.right) and _ast_same(f.left.right.arg, f.right.left)
+    ),
+    "eq_refl": lambda f: isinstance(f, Eq) and _ast_same(f.left, f.right),
+    "eq_subst": lambda f: (
+        isinstance(f, Imp) and isinstance(f.left, Eq) and isinstance(f.right, Imp)
+        and _ast_replaced_some(f.right.left, f.right.right, f.left.left, f.left.right)
+    ),
+    "forall_inst": _ast_forall_inst,
+    "forall_dist": lambda f: (
+        isinstance(f, Imp) and isinstance(f.left, Forall) and isinstance(f.left.body, Imp)
+        and _ast_same(f.right, Imp(Forall(f.left.var, f.left.body.left), Forall(f.left.var, f.left.body.right)))
+    ),
+}
+
+
+def _replace_some(node, s, t, rng):
+    """node with each occurrence of s replaced by t or not, at random."""
+    if node == s and rng.random() < 0.6:
+        return t
+    if isinstance(node, (Zero, Var)):
+        return node
+    return type(node)(*(
+        _replace_some(v, s, t, rng) if isinstance(v, (Term, Formula)) else v
+        for v in (getattr(node, f.name) for f in fields(node))
+    ))
+
+
+def _instantiate(node, x, t, bound=frozenset()):
+    if isinstance(node, Var):
+        return t if node.index == x and x not in bound else node
+    if isinstance(node, (Forall, Exists)):
+        return type(node)(node.var, _instantiate(node.body, x, t, bound | {node.var}))
+    if isinstance(node, Zero):
+        return node
+    return type(node)(*(_instantiate(getattr(node, f.name), x, t, bound) for f in fields(node)))
+
+
+def _schema_instance(rng):
+    phi = lambda: random_formula(rng, depth=2)
+    term = lambda: random_term(rng, 2)
+    kind = rng.randrange(9)
+    if kind == 0:
+        a, b = phi(), phi()
+        return Imp(a, Imp(b, a))
+    if kind == 1:
+        a, b, c = phi(), phi(), phi()
+        return Imp(Imp(a, Imp(b, c)), Imp(Imp(a, b), Imp(a, c)))
+    if kind == 2:
+        a, b = phi(), phi()
+        return Imp(Imp(Neg(b), Neg(a)), Imp(a, b))
+    if kind == 3:
+        t = term()
+        return Eq(t, t)
+    if kind == 4:
+        s, t, body = rng.choice([Zero(), Var(0), Var(1)]), term(), phi()
+        return Imp(Eq(s, t), Imp(body, _replace_some(body, s, t, rng)))
+    if kind == 5:  # a quantifier over the body may capture a variable of the term
+        x, body = rng.randrange(3), Exists(rng.randrange(3), phi())
+        return Imp(Forall(x, body), _instantiate(body, x, term()))
+    if kind == 6:
+        x, a, b = rng.randrange(3), phi(), phi()
+        return Imp(Forall(x, Imp(a, b)), Imp(Forall(x, a), Forall(x, b)))
+    if kind == 7:  # eq_subst never renames a quantifier's variable
+        s, t, body = rng.randrange(3), rng.randrange(3), phi()
+        return Imp(Eq(Var(s), Var(t)), Imp(Forall(s, body), Forall(t, _replace_some(body, Var(s), Var(t), rng))))
+    return phi()
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(7)], ids=["default", "offset40"])
+def test_code_matchers_match_the_ast_matchers(alphabet):
+    rng = random.Random(2006)
+    tests = {name: _axiom_test(TheoryConfig(schemas=frozenset({name})), alphabet) for name in SCHEMA_NAMES}
+    symbols = list(alphabet.base.values()) + [alphabet.offset + k for k in range(4)]
+    arity = lambda c: len(alphabet._heads[c][1]) if c < alphabet.offset else 0
+    hits = tampered = 0
+    for _ in range(600):
+        codes = _to_codes(_schema_instance(rng), alphabet)
+        variants = [codes]
+        # one symbol changed, mostly for one of the same arity, so that most twins parse
+        twin = list(codes)
+        pos = rng.randrange(len(twin))
+        old = twin[pos]
+        like = [c for c in symbols if c != old and (rng.random() < 0.2 or arity(c) == arity(old))]
+        twin[pos] = rng.choice(like or [c for c in symbols if c != old])
+        variants.append(twin)
+        for codes in variants:
+            try:
+                f = _from_codes(codes, alphabet)
+            except ZeckGodelError:
+                f = None
+            spans = _spans(codes, alphabet, {})
+            # the span pass accepts exactly the parser's formulas
+            assert (spans is not None) == isinstance(f, Formula)
+            if spans is None:
+                continue
+            tampered += codes is twin
+            for name in SCHEMA_NAMES:
+                verdict = tests[name](codes, *spans)
+                assert verdict == _AST_MATCHERS[name](f), (name, format_text(f))
+                hits += verdict
+    assert hits >= 400 and tampered >= 150  # instances and well-formed twins both well represented
+
+
+# --- decoded deep instances, totality, lazy decoding ------------------------
+
+@pytest.mark.parametrize("bits", [200, 5000])
+def test_decoded_deep_instances_are_axioms(bits):
+    # decoding shares no subtree, so equal sides compare by walking them
+    n = numeral(2**bits - 1)
+    eq_subst = Imp(Eq(Var(1), Var(2)), Imp(Eq(n, Var(1)), Eq(n, Var(2))))
+    forall_inst = Imp(Forall(0, Eq(Var(0), Var(0))), Eq(n, n))
+    for f in (eq_subst, forall_inst):
+        g = decode_syntax(encode_syntax(f))
+        assert is_axiom(g)
+        assert check_structured_proof(Proof((ProofStep(g, ("axiom",)),)))
+    wrong = decode_syntax(encode_syntax(Imp(Forall(0, Eq(Var(0), Var(0))), Eq(n, Succ(n)))))
+    assert not is_axiom(wrong)
+
+
+_ARBITRARY = (
+    st.none() | st.floats() | st.text(max_size=4) | st.integers(max_value=-1) | st.booleans()
+    | st.integers(min_value=0, max_value=2**80)
+    | st.lists(st.integers(min_value=2, max_value=40), max_size=12).map(
+        lambda gaps: SeqCode(tuple(reversed([sum(gaps[: k + 1]) - 1 for k in range(len(gaps))])))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARBITRARY, _ARBITRARY, _ARBITRARY)
+def test_predicates_are_total_on_arbitrary_values(x, y, z):
+    for predicate in (is_code, is_wff_code, is_term_code, check_proof):
+        assert predicate(x) in (True, False)
+    assert check_mp_codes(x, y, z) in (True, False)
+
+
+def test_check_proof_decodes_only_the_steps_it_checks(mp_theory, monkeypatch):
+    from zeckgodel import logic
+
+    decoded = []
+
+    def counting(c):
+        decoded.append(c)
+        return seq_decode(c)
+
+    monkeypatch.setattr(logic, "seq_decode", counting)
+    for j in (1, 2, 4):
+        proof = [A, Imp(A, B), B, A][: j - 1] + [Neg(A)] + [A] * 5
+        decoded.clear()
+        assert not check_proof(encode_proof(proof), mp_theory)
+        assert len(decoded) == 1 + j  # the list, then elements 1..j

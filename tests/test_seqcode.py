@@ -175,6 +175,20 @@ def test_as_code_coercion():
     assert as_code(c) is c
 
 
+def test_predicates_are_total_on_values_that_are_not_naturals():
+    for value in (-1, -(2**300), 2.5, "3", None, [3], 3j):
+        assert not is_code(value)
+        assert seq_len(value) == 0
+        assert symbol_at(value, 1) == 0
+        with pytest.raises(InvalidSupportError):
+            as_code(value)
+        with pytest.raises(InvalidSupportError):
+            seq_decode(value)
+    # a bool is an int, as in seq_encode: False codes the empty sequence
+    assert as_code(True).support == (1,) and not is_code(True)
+    assert is_code(False) and seq_decode(False) == []
+
+
 @settings(max_examples=300)
 @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=20))
 def test_roundtrip_property(seq):

@@ -412,3 +412,14 @@ def test_numeral_codes_from_bits_match_the_walked_numeral(alphabet):
     values += [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(20)]
     for n in values:
         assert _numeral_codes(n, alphabet) == _to_codes(numeral(n), alphabet), n
+
+
+def test_ast_equality_does_not_recurse():
+    n = numeral(2**200 - 1)
+    g = encode_syntax(Eq(n, n))
+    x, y = decode_syntax(g), decode_syntax(g)  # equal, sharing no node
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != decode_syntax(encode_syntax(Eq(n, Succ(n))))
+    assert Var(3) == Var(3) and Var(3) != Var(4) and Zero() != Var(0) and Eq(Zero(), Zero()) != Zero()
+    assert len({x, y, Eq(Zero(), Zero()), Eq(Zero(), Zero())}) == 2
+    assert [f.name for f in fields(Forall)] == ["var", "body"]
