@@ -206,11 +206,24 @@ _WALKS = {"eq_subst": _eq_subst, "forall_inst": _forall_inst}
 
 def _axiom_test(theory: TheoryConfig, alphabet: Alphabet):
     """The theory's axiom predicate, ``test(codes, ids, ends, p=0)``, on the
-    formula at p of a span-passed list.
+    formula at p of a span-passed list."""
+    return _axioms(theory, alphabet)[0]
 
-    Extra axioms are looked up by their symbol codes in a set built once.
+
+def _axioms(theory: TheoryConfig, alphabet: Alphabet):
+    """(axiom predicate, symbol codes of each extra axiom) of the theory.
+
+    Built once per (theory, alphabet) and kept on the frozen theory itself,
+    keyed by the alphabet's id; the entry holds the alphabet, so that id
+    stays its own.  A dict keyed by the theory would hash every axiom.
+    Extra axioms are looked up by their symbol codes in a set.
     """
-    extra = {tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms}
+    built = theory.__dict__.setdefault("_axioms", {})
+    entry = built.get(id(alphabet))
+    if entry is not None:
+        return entry[1:]
+    extra = tuple(tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms)
+    lookup = set(extra)
     templates = [
         [alphabet.base.get(tok, tok) for tok in _TEMPLATES[name].split()]
         for name in theory.schemas
@@ -219,13 +232,13 @@ def _axiom_test(theory: TheoryConfig, alphabet: Alphabet):
     walks = [_WALKS[name] for name in theory.schemas if name in _WALKS]
 
     def test(codes, ids, ends, p: int = 0) -> bool:
-        if extra and tuple(codes[p:ends[p]]) in extra:
+        if lookup and tuple(codes[p:ends[p]]) in lookup:
             return True
         return any(_fits(t, codes, ids, ends, p) for t in templates) or any(
             walk(codes, ids, ends, p, alphabet) for walk in walks
         )
 
-    return test
+    return built.setdefault(id(alphabet), (alphabet, test, extra))[1:]
 
 
 def is_axiom(f: Formula, theory: TheoryConfig | None = None) -> bool:
@@ -388,8 +401,7 @@ def prov_bounded(
         raise NotWffCodeError("not a wff code")
     goal = tuple(seq_decode(tc))
 
-    axiom = _axiom_test(theory, alphabet)
-    extra = [tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms]
+    axiom, extra = _axioms(theory, alphabet)
     seeds = set(extra)
     for codes in [goal, *extra]:
         spans = _spans(codes, alphabet, {})

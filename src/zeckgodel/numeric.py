@@ -6,6 +6,21 @@ Fibonacci indexing convention used everywhere in this package:
 
 i.e. the sequence 1, 2, 3, 5, 8, 13, 21, ...  All indices are >= 1 so every
 term is positive, which is what the coding layers require.
+
+CPython's ``math.isqrt`` and ``//`` are quadratic in the operand size, while
+its multiplication is Karatsuba, so the big-integer kernels here lean on
+multiplication (Brent and Zimmermann, Modern Computer Arithmetic, 1.5-1.7):
+
+- ``_isqrt`` is Zimmermann's Karatsuba square root (SqrtRem, INRIA RR-3805)
+  above SQRT_LEAF_BITS, with ``math.isqrt`` as its leaf.  Its divisions are a
+  quarter of the operand's size.
+- ``lucas_ratio(n, m)`` reads n / L(m), L(m) the Lucas number, off a
+  reciprocal cached per power of two m, with one multiplication.
+- ``sqrt5_fixed(p)`` is floor(sqrt(5) * 2**p), truncated from one cached
+  value.
+
+Each cache is built on first use, and rebuilt more precise only when a call
+needs more precision than it holds; importing builds nothing.
 """
 
 from __future__ import annotations
@@ -26,12 +41,24 @@ FIB_TABLE_CAP = 1 << 14
 # need as a starting point.
 _LOG2_PHI_E4 = 6942
 
+# Up to this many bits a square root is math.isqrt; above it, SqrtRem splits
+# the operand, which pays from about 3 kbit on CPython 3.11.
+SQRT_LEAF_BITS = 2048
+
+# Fixed-point values carry this many bits beyond what they are multiplied
+# with, so a truncated product is off by less than 2**-GUARD_BITS.
+GUARD_BITS = 32
+
 _fib_table = [1, 2]  # _fib_table[i] == F_{i+1}
 _fib_lock = threading.Lock()
 # power of two m -> (F_m, F_{m-1}, F_{m-2}); the divide-and-conquer
 # conversions split only there, so this holds one entry per bit of the
 # largest index seen
 _split_fibs: dict[int, tuple[int, int, int]] = {}
+# power of two m -> (s, q, floor(2**q / L(m))), lucas_ratio's reciprocal
+_split_recips: dict[int, tuple[int, int, int]] = {}
+# 0 -> (p, floor(sqrt(5) * 2**p)) at the largest precision p asked for yet
+_sqrt5: dict[int, tuple[int, int]] = {}
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
@@ -83,6 +110,76 @@ def split_fibs(m: int) -> tuple[int, int, int]:
     return fibs
 
 
+def lucas_ratio(n: int, m: int) -> tuple[int, int]:
+    """(v, w) with n/L(m) - 2**-GUARD_BITS < v / 2**w <= n/L(m).
+
+    L(m) = F_m + F_{m-2} is the Lucas number, m a power of two >= 2, and
+    n >= L(m).  The ratio is one multiplication of quotient-sized operands:
+    n without its low s bits (an error under 2**s / L(m) <=
+    2**(-GUARD_BITS-1)), times a reciprocal floor(2**q / L(m)) truncated to
+    t = bits(n) + GUARD_BITS + 1 bits past the point (an error under
+    n / 2**t < 2**(-GUARD_BITS-1)).  The reciprocal is cached per m and
+    rebuilt only when a larger n needs more than its q, with at least twice
+    the quotient bits, so a small quotient never pays for a large one.
+    """
+    t = n.bit_length() + GUARD_BITS + 1
+    recip = _split_recips.get(m)
+    if recip is None or recip[1] < t:
+        fm, _, fm2 = split_fibs(m)
+        lucas = fm + fm2
+        bits = lucas.bit_length()
+        q = t if recip is None else max(t, 2 * recip[1] - bits)
+        recip = _split_recips[m] = (max(0, bits - GUARD_BITS - 2), q, (1 << q) // lucas)
+    s, q, r = recip
+    return (n >> s) * (r >> q - t), t - s
+
+
+def sqrt5_fixed(p: int) -> int:
+    """floor(sqrt(5) * 2**p), truncated from the most precise value so far.
+
+    A request past that precision computes the root again at p, or at twice
+    the old precision if that is more, so rising requests cost few roots.
+    """
+    top, s = _sqrt5.get(0, (0, 2))
+    if top < p:
+        top = max(p, 2 * top)
+        s = _isqrt(5 << 2 * top)
+        _sqrt5[0] = (top, s)
+    return s >> top - p
+
+
+def _isqrt(n: int) -> int:
+    """floor(sqrt(n)) for n >= 0: math.isqrt up to SQRT_LEAF_BITS, SqrtRem above."""
+    if n.bit_length() <= SQRT_LEAF_BITS:
+        return isqrt(n)
+    return _sqrtrem(n)[0]
+
+
+def _sqrtrem(n: int) -> tuple[int, int]:
+    """(s, n - s*s) for s = floor(sqrt(n)), by Zimmermann's SqrtRem.
+
+    With b = 2**l, n = A*b**2 + a1*b + a0 where a1, a0 < b.  From
+    A = s'**2 + r' it takes q, u = divmod(r'*b + a1, 2*s'), so s = s'*b + q
+    and n - s**2 = u*b + a0 - q**2 exactly.  Splitting at l = (bits - 1) // 4
+    leaves A >= b**2, hence s' >= b and q <= b: that bound is the
+    normalization which keeps the remainder above -2s, so one correction
+    step is enough.
+    """
+    if n.bit_length() <= SQRT_LEAF_BITS:
+        s = isqrt(n)
+        return s, n - s * s
+    l = (n.bit_length() - 1) >> 2
+    mask = (1 << l) - 1
+    s, r = _sqrtrem(n >> 2 * l)
+    q, u = divmod((r << l) | (n >> l & mask), s << 1)
+    s = (s << l) + q
+    r = (u << l) + (n & mask) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    return s, r
+
+
 def max_fib_index_le(n: int) -> int:
     """The unique e with F_e <= n < F_{e+1}.  Requires n >= 1."""
     if n < 1:
@@ -116,8 +213,8 @@ def cantor_pair(x: int, y: int) -> int:
 
 
 def cantor_unpair(p: int) -> tuple[int, int]:
-    """Inverse of cantor_pair, exact at any magnitude (isqrt, no floats)."""
-    w = (isqrt(8 * p + 1) - 1) // 2
+    """Inverse of cantor_pair, exact at any magnitude (integer square root, no floats)."""
+    w = (_isqrt(8 * p + 1) - 1) // 2
     t = w * (w + 1) // 2
     x = p - t
     return x, w - x

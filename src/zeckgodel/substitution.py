@@ -17,7 +17,7 @@ single sort merges runs that barely overlap.  ``diag``, ``fixed_point`` and
 copies ψ holds.
 
 Validation happens once, at the public entry: each code a caller passes in
-is decoded and parsed a single time, and the internal steps splice the
+is decoded and checked a single time, and the internal steps splice the
 symbol codes that check returned.  ``diag`` and ``fixed_point`` read the
 numeral's symbol codes off the bits of the diagonal value and do not
 re-check the diagonal code m, a wff by construction, so no code the library
@@ -37,6 +37,7 @@ from .syntax import (
     Var,
     _from_codes,
     _numeral_codes,
+    _spans,
     _to_codes,
 )
 
@@ -45,13 +46,19 @@ DEFAULT_NUMERAL_BIT_LIMIT = 1 << 21
 
 
 def _validated(code: SeqCode, category: type, alphabet: Alphabet) -> list[int]:
-    """Symbol codes of ``code``, decoded once; raises unless it codes a ``category``."""
+    """Symbol codes of ``code``, decoded once; raises unless it codes a ``category``.
+
+    A formula is decided by the span pass and a term by the parser.
+    """
     try:
         codes = seq_decode(code)
-        node = _from_codes(codes, alphabet)
+        if category is Formula:
+            ok = _spans(codes, alphabet, {}) is not None
+        else:
+            ok = isinstance(_from_codes(codes, alphabet), Term)
     except ZeckGodelError:
-        node = None
-    if not isinstance(node, category):
+        ok = False
+    if not ok:
         if category is Formula:
             raise NotWffCodeError("not a wff code")
         raise NotTermCodeError("not a term code")

@@ -470,10 +470,12 @@ def decode_syntax(c: "SeqCode | int", alphabet: Alphabet | None = None) -> "Term
 
 
 def is_wff_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
+    """True iff c codes a formula; decided by the span pass, with no AST built."""
     try:
-        return isinstance(decode_syntax(c, alphabet), Formula)
+        codes = seq_decode(c)
     except ZeckGodelError:
         return False
+    return _spans(codes, alphabet or DEFAULT_ALPHABET, {}) is not None
 
 
 def is_term_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:

@@ -9,16 +9,30 @@ FIB_TABLE_CAP and divide and conquer above it, splitting at powers of two m
 and joining the halves with F_{e+m} = F_e*F_m + F_{e-1}*F_{m-1} (F_0 = 1), in
 the manner of subquadratic radix conversion (Brent and Zimmermann, Modern
 Computer Arithmetic, 1.7).  All arithmetic is exact integer arithmetic.
+
+A decode split costs four multiplications and no big division or square
+root: the high part's value comes from a cached reciprocal of the Lucas
+number L(k) (numeric.lucas_ratio), and sigma(a) = floor((a+1)/phi) from a
+fixed-point sqrt(5) truncated to a's size (numeric.sqrt5_fixed), with an
+exact square root only when the product lies too near an integer to round.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from math import isqrt
 
 from .errors import InvalidSupportError
-from .numeric import FIB_TABLE_CAP, fib_index_bound, fib_table, split_fibs
+from .numeric import (
+    FIB_TABLE_CAP,
+    GUARD_BITS,
+    _isqrt,
+    fib_index_bound,
+    fib_table,
+    lucas_ratio,
+    split_fibs,
+    sqrt5_fixed,
+)
 
 
 def is_valid_support(indices: Sequence[int]) -> bool:
@@ -95,10 +109,18 @@ def z_decode(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _shift_down(a: int) -> int:
-    """Sum of F_{e-1} over a's support, which is floor((a+1)/phi), exactly."""
-    x = a + 1
-    return (isqrt(5 * x * x) - x) // 2
+def _sigma(x: int, v: int, p: int) -> int:
+    """sigma(x - 1) = floor(x/phi) = (floor(x*sqrt(5)) - x) // 2, for
+    0 <= x <= 2**p and v = x * sqrt5_fixed(p).
+
+    sigma(a) is the sum of F_{e-1} over a's support.  x*sqrt(5) lies in
+    [v, v + x) / 2**p, so v >> p is its floor unless the fraction of
+    v / 2**p is within x / 2**p of 1; then the exact root decides.
+    """
+    t = v >> p
+    if (v & (1 << p) - 1) + x > 1 << p:
+        t = _isqrt(5 * x * x)
+    return (t - x) >> 1
 
 
 def _decode_into(n: int, hi: int, shift: int, out: list[int]) -> None:
@@ -114,16 +136,29 @@ def _decode_into(n: int, hi: int, shift: int, out: list[int]) -> None:
         return
     # Split n's support at k: the part above k, shifted down by k, codes some
     # a and contributes high(a) = F_k*a + F_{k-1}*sigma(a); the rest is
-    # < F_{k+1}.  high(a+1) - high(a) is F_k, or F_{k+1} whenever the rest
-    # could reach F_k, so a is the largest value with high(a) <= n.
+    # < F_{k+1}, and a is the largest value with high(a) <= n.
     k = _split_point(hi)
-    fk, fk1, fk2 = split_fibs(k)
-    a = n // (fk + fk2)  # the Lucas number L(k) ~ phi^k puts a within one of the answer
-    while (high := fk * a + fk1 * _shift_down(a)) > n:
-        a -= 1
-    # a rest below F_k settles it without evaluating high(a+1)
-    while n - high >= fk and (bigger := fk * (a + 1) + fk1 * _shift_down(a + 1)) <= n:
-        a, high = a + 1, bigger
+    fk, fk1, _ = split_fibs(k)
+    if n < fk + fk1:  # n < F_{k+1} = high(1)
+        a = high = 0
+    else:
+        # Up to terms of order phi^-k, n/L(k) - a = (1/phi - f)/sqrt(5) +
+        # rest/L(k), f in (0, 1) being the fraction sigma(a) drops and
+        # rest/L(k) < phi^2/sqrt(5).  That lies in (-0.171, 1.448), so with
+        # the ratio's error below 2**-GUARD_BITS, n/L(k) + 3/8 rounds down to
+        # a or a + 1.
+        v, w = lucas_ratio(n, k)
+        a = (v + (3 << w - 3)) >> w
+        x = a + 1
+        p = x.bit_length() + GUARD_BITS
+        s5 = sqrt5_fixed(p)
+        xs = x * s5
+        sigma = _sigma(x, xs, p)
+        high = fk * a + fk1 * sigma
+        if high > n:
+            # one step down; sigma(a-1) is sigma(a) or one less, read off a*s5 = xs - s5
+            high -= fk if _sigma(a, xs - s5, p) == sigma else fk + fk1
+            a -= 1
     if a:
         _decode_into(a, hi - k, shift + k, out)
     if n > high:

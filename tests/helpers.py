@@ -48,14 +48,20 @@ def fib_upto(n: int) -> list[int]:
 
 
 def greedy_support(n: int) -> list[int]:
-    """Greedy Zeckendorf support of n, decreasing indices, independent path."""
+    """Greedy Zeckendorf support of n, decreasing indices, independent path.
+
+    Walks F_e up to the largest term <= n and back down with two values at a
+    time, so tops past 2^17 need no table of 10^5 big numbers.
+    """
     support = []
-    fibs = fib_upto(n) if n >= 1 else []
-    for e in range(len(fibs), 0, -1):
-        if fibs[e - 1] <= n:
+    e, f, g = 1, 1, 2  # e, F_e, F_{e+1}
+    while g <= n:
+        e, f, g = e + 1, g, f + g
+    while n:
+        if f <= n:
             support.append(e)
-            n -= fibs[e - 1]
-    assert n == 0
+            n -= f
+        e, f, g = e - 1, g - f, f
     return support
 
 

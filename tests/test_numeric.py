@@ -1,20 +1,33 @@
+import os
 import random
+import subprocess
+import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import zeckgodel
 from zeckgodel.errors import ZeckGodelError
 from zeckgodel.numeric import (
+    GUARD_BITS,
+    SQRT_LEAF_BITS,
     _fib_pair,
+    _isqrt,
+    _sqrtrem,
     cantor_pair,
     cantor_unpair,
     fib,
+    lucas_ratio,
     max_fib_index_le,
+    split_fibs,
+    sqrt5_fixed,
     zeck_length_bound,
 )
+from zeckgodel.seqcode import SeqCode, _positions, seq_encode
 from zeckgodel.zeckendorf import z_decode
 
-from helpers import fib_list, fib_upto
+from helpers import fib_list, fib_upto, unpair_oracle
 
 
 def test_fib_small_values():
@@ -147,3 +160,92 @@ def test_zeck_length_bound_dominates_support_size():
     for n in range(0, 100_001):
         if len(z_decode(n)) > zeck_length_bound(n):
             raise AssertionError(f"bound violated at {n}")
+
+
+# --- the Karatsuba square root and the cached fixed-point values -----------
+
+def _assert_root(n):
+    s, r = _sqrtrem(n)
+    assert s == isqrt(n) and r == n - s * s, n.bit_length()
+    assert _isqrt(n) == s
+
+
+def test_sqrtrem_matches_isqrt_on_random_operands_up_to_300kbit():
+    rng = random.Random(1805)
+    sizes = [1, 2, 3, 64, 1000, SQRT_LEAF_BITS - 1, SQRT_LEAF_BITS, SQRT_LEAF_BITS + 1, 3001, 9_999, 40_000]
+    sizes += [rng.randrange(SQRT_LEAF_BITS, 120_000) for _ in range(6)] + [300_000]
+    for bits in sizes:
+        for _ in range(3 if bits < 100_000 else 1):
+            _assert_root(rng.getrandbits(bits) | 1 << bits - 1)
+
+
+def test_sqrtrem_at_every_bit_length_mod_4_around_the_leaf():
+    # the split point (bits - 1) // 4 changes with the length mod 4, and the
+    # operand's top quarter must stay large enough for one correction step
+    rng = random.Random(4)
+    for bits in range(SQRT_LEAF_BITS - 4, 4 * SQRT_LEAF_BITS + 9):
+        if bits > SQRT_LEAF_BITS + 8 and bits % 97 > 3:
+            continue
+        top = 1 << bits - 1
+        for n in (top, 2 * top - 1, top | rng.getrandbits(bits - 1), top | top >> 1 | rng.getrandbits(bits - 2)):
+            _assert_root(n)
+
+
+def test_sqrtrem_on_squares_and_powers_of_two():
+    rng = random.Random(9)
+    for bits in (SQRT_LEAF_BITS // 2 + 1, SQRT_LEAF_BITS, 5_000, 33_333, 70_001):
+        s = rng.getrandbits(bits) | 1 << bits - 1
+        for n in (s * s - 1, s * s, s * s + 1, s * s + 2 * s, (s + 1) ** 2 - 1, (s + 1) ** 2):
+            _assert_root(n)
+    for k in (SQRT_LEAF_BITS - 1, SQRT_LEAF_BITS, SQRT_LEAF_BITS + 1, 4_097, 10_000, 65_536, 65_537):
+        for n in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            _assert_root(n)
+
+
+def test_cantor_unpair_and_positions_match_the_oracle_across_the_leaf():
+    rng = random.Random(77)
+    for bits in (SQRT_LEAF_BITS - 6, SQRT_LEAF_BITS - 2, SQRT_LEAF_BITS + 3, 5_000, 45_000):
+        p = rng.getrandbits(bits) | 1 << bits - 1
+        assert cantor_unpair(p) == unpair_oracle(p)
+        # a sequence whose first item pairs to an index of about `bits` bits
+        items = [rng.getrandbits(bits // 2) | 1 << bits // 2 - 1, rng.getrandbits(40), 0]
+        c = seq_encode(items)
+        assert c.support[0].bit_length() > bits - 3
+        assert _positions(c) == items
+        assert sorted(unpair_oracle(e >> 1)[::-1] for e in c.support) == [(i, a) for i, a in enumerate(items, 1)]
+        # a stray index for a position that does not exist is refused
+        e = 2 * cantor_pair(items[0], 5) + 1
+        assert _positions(SeqCode(tuple(sorted((*c.support, e), reverse=True)))) is None
+
+
+def test_lucas_ratio_is_within_the_guard_below_the_ratio():
+    rng = random.Random(21)
+    for m in (2, 4, 64, 1 << 10, 1 << 14, 1 << 15):
+        fm, _, fm2 = split_fibs(m)
+        lucas = fm + fm2
+        # rising sizes rebuild the cached reciprocal; the last reads a truncation of it
+        for n in (lucas, lucas + 1, 2 * lucas - 1, lucas * lucas, 2 * lucas * lucas - 1, lucas**3,
+                  rng.randrange(lucas, 2 * lucas * lucas)):
+            v, w = lucas_ratio(n, m)
+            # n/L - 2^-GUARD < v / 2^w <= n/L, in integers
+            assert v * lucas <= n << w
+            assert (v << GUARD_BITS) * lucas + (lucas << w) > n << w + GUARD_BITS
+
+
+def test_sqrt5_fixed_is_the_floor_at_every_precision():
+    # rising precisions recompute the cached root; the last ones truncate it
+    for p in (1, 2, 3, 31, 32, 33, 1000, 1024, 1025, 5000, 4999, 7, 1):
+        s = sqrt5_fixed(p)
+        assert s * s <= 5 << 2 * p < (s + 1) ** 2
+
+
+def test_importing_builds_no_table_or_cache():
+    code = (
+        "import zeckgodel, zeckgodel.numeric as n; "
+        "assert n._fib_table == [1, 2], n._fib_table; "
+        "assert not n._split_fibs and not n._split_recips and not n._sqrt5"
+    )
+    src = os.path.dirname(os.path.dirname(zeckgodel.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

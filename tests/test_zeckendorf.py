@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zeckgodel.numeric as numeric
+import zeckgodel.zeckendorf as zeckendorf
 from zeckgodel.errors import InvalidSupportError
 from zeckgodel.numeric import fib, zeck_length_bound
 from zeckgodel.seqcode import SeqCode, to_number
@@ -156,3 +158,86 @@ def test_roundtrip_property_past_the_table(n):
     assert is_valid_support(support)
     assert fib(support[0]) <= n < fib(support[0] + 1)
     assert z_encode(support) == n
+
+
+# --- the split's kernels: sigma from a fixed-point sqrt(5), the quotient ----
+
+def _sigma_oracle(a):
+    x = a + 1
+    return (isqrt(5 * x * x) - x) // 2
+
+
+def _sigma(a):
+    x = a + 1
+    p = x.bit_length() + numeric.GUARD_BITS
+    return zeckendorf._sigma(x, x * numeric.sqrt5_fixed(p), p)
+
+
+def test_sigma_matches_the_exact_root_near_fibonacci_and_lucas_numbers(monkeypatch):
+    # at x = F(j) and L(j) (classical), 5x^2 = L(j)^2 -+ 4 or 5F(j)^2 +- 4, so
+    # x*sqrt(5) lies within about 1/x of an integer: the hardest values to round
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return numeric._isqrt(n)
+
+    monkeypatch.setattr(zeckendorf, "_isqrt", counted)
+    f, g = 0, 1  # classical F(j), F(j+1)
+    lucas = [2, 1]
+    for j in range(1, 2_600):
+        f, g = g, f + g
+        lucas.append(lucas[-1] + lucas[-2])
+        if j < 300 or j % 97 < 3:
+            for x in (f - 1, f, f + 1, lucas[j] - 1, lucas[j] + 1):
+                if x >= 1:
+                    assert _sigma(x - 1) == _sigma_oracle(x - 1), (j, x)
+    # at an even j past 2^GUARD_BITS, F(j)*sqrt(5) is just below L(j), inside
+    # the truncation error, so the exact root decided
+    assert any(m.bit_length() > 2 * numeric.GUARD_BITS for m in calls)
+
+
+def test_sigma_matches_the_exact_root_on_random_values():
+    rng = random.Random(58)
+    for bits in (1, 5, 31, 32, 33, 64, 1000, 30_000):
+        for _ in range(20):
+            a = rng.getrandbits(bits)
+            assert _sigma(a) == _sigma_oracle(a)
+
+
+def _lucas(k):
+    fk, _, fk2 = numeric.split_fibs(k)
+    return fk + fk2
+
+
+@pytest.mark.parametrize("k", [1 << 14, 1 << 15, 1 << 16, 1 << 17])
+def test_z_decode_matches_greedy_just_past_each_power_of_two(k):
+    # a top just past k splits there with a tiny high part and the whole
+    # rest below; F_e +- 1 and L(k) +- 1 sit on the seams of both splits
+    if k < 1 << 16:
+        ns = [fib(e) + d for e in (k - 1, k, k + 1, k + 2, k + 3) for d in (-1, 0, 1)]
+        ns += [_lucas(k) + d for d in (-1, 1)] + [_lucas(k // 2) * fib(k // 2 + 2) + d for d in (-1, 1)]
+    elif k == 1 << 16:
+        ns = [fib(k + 1) - 1, fib(k + 2) + 1, _lucas(k) + 1, _lucas(k // 2) * fib(k // 2 + 2) - 1]
+    else:
+        ns = [fib(k + 2) - 1, fib(k + 3) + _lucas(k // 2) + 1]
+    for n in ns:
+        assert list(z_decode(n)) == greedy_support(n), (k, n.bit_length())
+
+
+def test_z_decode_at_the_edges_of_the_quotient_estimate():
+    # n / L(k) - a is least when the rest is 0 and sigma(a) rounds down the
+    # most, and greatest when the rest is F_{k+1} - 1 and sigma(a) barely
+    # rounds; a near F_j and L_j makes (a+1)/phi nearly an integer
+    k = numeric.FIB_TABLE_CAP
+    rng = random.Random(3)
+    bases = [fib(j) + d for j in (2, 11, 401, k - 2) for d in (-1, 0, 1)]
+    bases += [_lucas(j) + d for j in (16, 1024) for d in (-1, 1)]
+    bases += [rng.getrandbits(11_000) for _ in range(2)]
+    full_rest = list(range(k, 0, -2))  # F_{k+1} - 1
+    for a in bases:
+        high = [e + k for e in z_decode(a)]
+        for low in ([], [1], full_rest if high[-1] >= k + 2 else full_rest[1:]):
+            support = high + low
+            n = z_encode(support)
+            assert list(z_decode(n)) == greedy_support(n) == support
