@@ -13,60 +13,48 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .errors import ZeckGodelError
-from .numeric import cantor_pair, cantor_unpair, fib
-from .zeckendorf import is_valid_support, z_decode
-from .seqcode import (
-    SeqCode,
-    as_code,
-    bits_estimate,
-    concat,
-    from_number,
-    is_code,
-    seq_decode,
-    seq_encode,
-    symbol_at,
-    to_number,
-)
-
-from .syntax import (
-    Alphabet,
-    Formula,
-    _to_codes,
-    decode_syntax,
-    default_alphabet,
-    encode_syntax,
-    format_text,
-    is_term_code,
-    is_wff_code,
-    load_alphabet,
-    parse_text,
-)
-from .substitution import diag, fixed_point, sub_free, sub_z
-from .logic import (
-    TheoryConfig,
-    check_proof,
-    default_theory,
-    godel_sentence,
-    load_theory,
-    prov_bounded,
-)
-from .oracle import mp_witness, oracle_check, oracle_solve
-from .primecode import compare_sizes
 
 # Print threshold: codes with a larger max support index are shown in support
 # form only.  Deliberately far below the library's to_number cap; printing a
 # megabit Gödel-sentence value in decimal helps nobody.
 DEFAULT_PRINT_THRESHOLD = 1 << 16
 
+# Decimal literals with more digits than this are parsed by halves: int(str)
+# is quadratic in the digit count on CPython 3.11, while joining two halves
+# costs one Karatsuba product (Brent and Zimmermann, Modern Computer
+# Arithmetic, 1.7).
+PARSE_LEAF_DIGITS = 2048
+_pow10: dict[int, int] = {}  # power of two k -> 10**k
+
 
 # --- literals -------------------------------------------------------------
 
+def _parse_digits(t: str) -> int:
+    """int(t) for ASCII digits t, split at the largest power of two below len(t)."""
+    if len(t) <= PARSE_LEAF_DIGITS:
+        return int(t)
+    k = 1 << (len(t) - 1).bit_length() - 1
+    scale = _pow10.get(k)
+    if scale is None:
+        scale = _pow10[k] = 10**k
+    return _parse_digits(t[:-k]) * scale + _parse_digits(t[-k:])
+
+
+def _splits(t: str) -> bool:
+    """Whether _parse_digits takes t: ASCII digits, longer than the leaf, within int()'s limit."""
+    if len(t) <= PARSE_LEAF_DIGITS or not (t.isascii() and t.isdigit()):
+        return False
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return not limit or len(t) <= limit
+
+
 def parse_nat(text: str) -> int:
     t = text.strip()
+    if _splits(t):
+        return _parse_digits(t)
     try:
         n = int(t, 16) if t.lower().startswith("0x") else int(t, 10)
     except ValueError:
@@ -77,6 +65,7 @@ def parse_nat(text: str) -> int:
 
 
 def parse_support_literal(text: str) -> tuple[int, ...]:
+    from .zeckendorf import is_valid_support
     t = text.strip()
     if t.startswith("Z[") and t.endswith("]"):
         t = t[1:]
@@ -90,6 +79,7 @@ def parse_support_literal(text: str) -> tuple[int, ...]:
 
 
 def parse_code_literal(text: str) -> SeqCode:
+    from .seqcode import SeqCode, from_number
     t = text.strip()
     if t.startswith("Z[") or t.startswith("["):
         return SeqCode(parse_support_literal(t))
@@ -98,6 +88,7 @@ def parse_code_literal(text: str) -> SeqCode:
 
 def parse_formula_arg(text: str, alphabet: Alphabet) -> SeqCode:
     """A formula given either as prefix text or as a code literal."""
+    from .syntax import encode_syntax, parse_text
     t = text.strip()
     if t.startswith("(") or t in ("0",) or t.startswith("v"):
         return encode_syntax(parse_text(t), alphabet)
@@ -120,6 +111,7 @@ def parse_var(text: str) -> int:
 # --- output ----------------------------------------------------------------
 
 def code_json(c: SeqCode, threshold: int) -> dict:
+    from .seqcode import bits_estimate, to_number
     out: dict = {"support": list(c.support), "bits_estimate": bits_estimate(c)}
     if c.max_index <= threshold:
         out["number"] = str(to_number(c, max_index=threshold))
@@ -137,35 +129,57 @@ class _Io:
             print(text)
 
 
+class _Context(dict):
+    """The handlers' settings; the default alphabet and theory are built on first read."""
+
+    def __missing__(self, key: str):
+        if key == "alphabet":
+            from .syntax import default_alphabet as default
+        elif key == "theory":
+            from .logic import default_theory as default
+        else:
+            raise KeyError(key)
+        value = self[key] = default()
+        return value
+
+
 # --- command handlers --------------------------------------------------------
+#
+# Each handler imports the layers it uses, so a process loads no others.
 
 def _cmd_fib(args, io, ctx):
+    from .numeric import fib
     value = fib(parse_nat(args.index))
     io.emit({"value": str(value)}, str(value))
 
 
 def _cmd_pair(args, io, ctx):
+    from .numeric import cantor_pair
     value = cantor_pair(parse_nat(args.x), parse_nat(args.y))
     io.emit({"value": str(value)}, str(value))
 
 
 def _cmd_unpair(args, io, ctx):
+    from .numeric import cantor_unpair
     x, y = cantor_unpair(parse_nat(args.p))
     io.emit({"x": str(x), "y": str(y)}, f"{x} {y}")
 
 
 def _cmd_zeck_encode(args, io, ctx):
+    from .seqcode import SeqCode, to_number
     support = parse_support_literal(args.indices)
     value = to_number(SeqCode(support), max_index=ctx["threshold"])
     io.emit({"value": str(value)}, str(value))
 
 
 def _cmd_zeck_decode(args, io, ctx):
+    from .zeckendorf import z_decode
     support = z_decode(parse_nat(args.n))
     io.emit({"support": list(support)}, "Z[" + ",".join(map(str, support)) + "]")
 
 
 def _cmd_seq_encode(args, io, ctx):
+    from .seqcode import seq_encode
     try:
         items = json.loads(args.items)
     except json.JSONDecodeError as exc:
@@ -178,36 +192,44 @@ def _cmd_seq_encode(args, io, ctx):
 
 
 def _cmd_seq_decode(args, io, ctx):
+    from .seqcode import seq_decode
     io.emit({"sequence": seq_decode(parse_code_literal(args.code))})
 
 
 def _cmd_seq_at(args, io, ctx):
+    from .seqcode import symbol_at
     value = symbol_at(parse_code_literal(args.code), parse_nat(args.i))
     io.emit({"value": str(value)}, str(value))
 
 
 def _cmd_seq_concat(args, io, ctx):
+    from .seqcode import concat
     result = concat(parse_code_literal(args.a), parse_code_literal(args.b))
     io.emit(code_json(result, ctx["threshold"]))
 
 
 def _cmd_syntax_parse(args, io, ctx):
+    from .syntax import Formula, format_text, parse_text
     node = parse_text(args.text)
     io.emit({"text": format_text(node), "kind": "formula" if isinstance(node, Formula) else "term"},
             format_text(node))
 
 
 def _cmd_syntax_encode(args, io, ctx):
+    from .syntax import encode_syntax, parse_text
     node = parse_text(args.text)
     io.emit(code_json(encode_syntax(node, ctx["alphabet"]), ctx["threshold"]))
 
 
 def _cmd_syntax_decode(args, io, ctx):
+    from .syntax import decode_syntax, format_text
     node = decode_syntax(parse_code_literal(args.code), ctx["alphabet"])
     io.emit({"text": format_text(node)}, format_text(node))
 
 
 def _cmd_syntax_check(args, io, ctx):
+    from .seqcode import is_code
+    from .syntax import is_term_code, is_wff_code
     c = parse_code_literal(args.code)
     payload = {
         "is_code": is_code(c),
@@ -218,6 +240,7 @@ def _cmd_syntax_check(args, io, ctx):
 
 
 def _cmd_sub(args, io, ctx):
+    from .substitution import sub_free, sub_z
     alphabet = ctx["alphabet"]
     fc = parse_formula_arg(args.formula, alphabet)
     tc = parse_formula_arg(args.term, alphabet)
@@ -227,16 +250,19 @@ def _cmd_sub(args, io, ctx):
 
 
 def _cmd_diag(args, io, ctx):
+    from .substitution import diag
     c = parse_formula_arg(args.code, ctx["alphabet"])
     io.emit(code_json(diag(c, alphabet=ctx["alphabet"]), ctx["threshold"]))
 
 
 def _cmd_fixpoint(args, io, ctx):
+    from .substitution import fixed_point
     psi, m = fixed_point(parse_formula_arg(args.formula, ctx["alphabet"]), alphabet=ctx["alphabet"])
     io.emit({"psi": code_json(psi, ctx["threshold"]), "m": code_json(m, ctx["threshold"])})
 
 
 def _cmd_proof_check(args, io, ctx):
+    from .logic import check_proof
     text = args.code
     if os.path.exists(text):
         with open(text, encoding="utf-8") as fh:
@@ -246,6 +272,7 @@ def _cmd_proof_check(args, io, ctx):
 
 
 def _cmd_prov(args, io, ctx):
+    from .logic import prov_bounded
     target = parse_formula_arg(args.formula, ctx["alphabet"])
     bound = args.bound_local if args.bound_local is not None else ctx["bound"]
     found = prov_bounded(target, bound, ctx["theory"], ctx["alphabet"])
@@ -256,29 +283,36 @@ def _cmd_prov(args, io, ctx):
 
 
 def _cmd_godel(args, io, ctx):
+    from .logic import godel_sentence
     g, m = godel_sentence(ctx["theory"], ctx["alphabet"])
     io.emit({"g": code_json(g, ctx["threshold"]), "m": code_json(m, ctx["threshold"])})
 
 
 def _cmd_oracle_check(args, io, ctx):
+    from .oracle import oracle_check
     ok = oracle_check(parse_nat(args.n), parse_nat(args.m), parse_nat(args.k))
     io.emit({"ok": ok}, "true" if ok else "false")
 
 
 def _cmd_oracle_solve(args, io, ctx):
+    from .oracle import oracle_solve
     k = oracle_solve(parse_nat(args.n), parse_nat(args.m))
     io.emit({"k": k}, "none" if k is None else str(k))
 
 
 def _cmd_oracle_mp(args, io, ctx):
+    from .oracle import mp_witness
     t = mp_witness(parse_nat(args.n))
     io.emit({"n": t.n, "m": t.m, "k": t.k}, f"{t.n} {t.m} {t.k}")
 
 
 def _cmd_compare(args, io, ctx):
+    from .primecode import compare_sizes
     if args.formula is not None:
+        from .syntax import _to_codes, parse_text
         seq = _to_codes(parse_text(args.formula), ctx["alphabet"])
     else:
+        import random
         rng = random.Random(args.seed)
         seq = [rng.randint(1, 20) for _ in range(args.symbols)]
     report = compare_sizes(seq).to_dict()
@@ -418,12 +452,13 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # the threshold already bounds print sizes
     try:
-        ctx = {
-            "alphabet": load_alphabet(args.alphabet) if args.alphabet else default_alphabet(),
-            "theory": load_theory(args.theory) if args.theory else default_theory(),
-            "threshold": args.threshold,
-            "bound": args.bound,
-        }
+        ctx = _Context(threshold=args.threshold, bound=args.bound)
+        if args.alphabet:
+            from .syntax import load_alphabet
+            ctx["alphabet"] = load_alphabet(args.alphabet)
+        if args.theory:
+            from .logic import load_theory
+            ctx["theory"] = load_theory(args.theory)
         args.handler(args, _Io(args.format), ctx)
     except ZeckGodelError as exc:
         err = {"code": exc.code, "message": str(exc)}

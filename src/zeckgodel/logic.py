@@ -16,8 +16,6 @@ parallel walks over two subtrees with an explicit stack.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 from .errors import NotWffCodeError, TheoryConfigError, ZeckGodelError
@@ -30,6 +28,7 @@ from .syntax import (
     Neg,
     ProvP,
     Var,
+    _read_config,
     _spans,
     _to_codes,
     encode_syntax,
@@ -73,9 +72,7 @@ def default_theory() -> TheoryConfig:
 
 def load_theory(source) -> TheoryConfig:
     """Theory from a JSON file path or parsed mapping; axioms in prefix text."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            source = json.load(fh)
+    source = _read_config(source, TheoryConfigError, "theory")
     try:
         schemas = frozenset(source.get("schemas", SCHEMA_NAMES))
         extras = tuple(parse_text(s, expect="formula") for s in source.get("extra_axioms", ()))

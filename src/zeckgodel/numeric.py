@@ -213,11 +213,15 @@ def cantor_pair(x: int, y: int) -> int:
 
 
 def cantor_unpair(p: int) -> tuple[int, int]:
-    """Inverse of cantor_pair, exact at any magnitude (integer square root, no floats)."""
-    w = (_isqrt(8 * p + 1) - 1) // 2
-    t = w * (w + 1) // 2
-    x = p - t
-    return x, w - x
+    """Inverse of cantor_pair, exact at any magnitude (integer square root, no floats).
+
+    With w = x + y, 8p + 1 = (2w + 1)**2 + 8x and 0 <= x <= w, so the root
+    t of 8p + 1 is 2w + 1 or 2w + 2, and x comes off SqrtRem's remainder r
+    with no second square: x = r / 8 for odd t, (r + 2t - 1) / 8 for even t.
+    """
+    t, r = _sqrtrem(8 * p + 1)
+    x = (r if t & 1 else r + 2 * t - 1) >> 3
+    return x, (t - 1 >> 1) - x
 
 
 def zeck_length_bound(n: int) -> int:

@@ -9,8 +9,9 @@ bignums for nested codes) and materialized to an exact integer only on
 demand and only below a configurable size threshold.
 
 Decoding unpairs each support index with an integer square root: the
-inline ``math.isqrt`` for ordinary supports, and numeric's Karatsuba square
-root once the top index passes SQRT_LEAF_BITS, as a proof code's does.
+inline ``math.isqrt`` for ordinary supports, and numeric's ``cantor_unpair``
+on its Karatsuba square root once the top index passes SQRT_LEAF_BITS, as a
+proof code's does.
 
 A support passed to ``SeqCode`` is validated; the supports the library
 builds itself (``seq_encode``, ``from_number`` and the substitution splice)
@@ -24,7 +25,7 @@ from math import isqrt
 from collections.abc import Sequence
 
 from .errors import CodeTooLargeError, InvalidSupportError, NotSequenceCodeError
-from .numeric import SQRT_LEAF_BITS, _isqrt
+from .numeric import SQRT_LEAF_BITS, cantor_unpair
 from .zeckendorf import fib_sum, is_valid_support, z_decode
 
 # Largest support index for which to_number will build the exact integer.
@@ -139,15 +140,18 @@ def _positions(c: SeqCode) -> list[int] | None:
     """The coded items in position order, or None if not a sequence code."""
     m = len(c.support)
     items: list[int | None] = [None] * m
-    root = _isqrt if m and c.support[0].bit_length() > SQRT_LEAF_BITS else isqrt
+    big = m and c.support[0].bit_length() > SQRT_LEAF_BITS
     for e in c.support:
         if not e & 1:
             return None
-        # (a, i) = cantor_unpair((e - 1) // 2), inlined like seq_encode's pairing
         p = e >> 1
-        w = (root(8 * p + 1) - 1) >> 1
-        a = p - (w * (w + 1) >> 1)
-        i = w - a
+        if big:
+            a, i = cantor_unpair(p)
+        else:
+            # cantor_unpair(p), inlined like seq_encode's pairing
+            w = (isqrt(8 * p + 1) - 1) >> 1
+            a = p - (w * (w + 1) >> 1)
+            i = w - a
         # m items in m distinct slots fill every slot
         if not 1 <= i <= m or items[i - 1] is not None:
             return None

@@ -252,11 +252,20 @@ DEFAULT_ALPHABET = Alphabet(
 )
 
 
+def _read_config(source, error: type[ZeckGodelError], what: str):
+    """source itself, or the JSON in the file at path source; error if unreadable."""
+    if not isinstance(source, (str, os.PathLike)):
+        return source
+    try:
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} config {os.fspath(source)!r}: {exc}") from exc
+
+
 def load_alphabet(source) -> Alphabet:
     """Read an alphabet from a JSON file path or an already-parsed mapping."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            source = json.load(fh)
+    source = _read_config(source, AlphabetError, "alphabet")
     try:
         return Alphabet(base=dict(source["symbols"]), offset=int(source["offset"]))
     except (KeyError, TypeError, ValueError) as exc:

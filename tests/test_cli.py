@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from zeckgodel.cli import main
-from zeckgodel.syntax import DEFAULT_ALPHABET
+import zeckgodel
+from zeckgodel.cli import PARSE_LEAF_DIGITS, main, parse_nat
+from zeckgodel.errors import ZeckGodelError
+from zeckgodel.syntax import DEFAULT_ALPHABET, Eq, Zero, encode_proof
 
 
 def run_cli(capsys, *argv):
@@ -230,3 +236,94 @@ def test_json_mode_every_subcommand_emits_one_document(capsys):
         assert code == 0, argv
         json.loads(out)  # exactly one valid document
         assert err == "", argv
+
+
+@pytest.mark.parametrize("flag, code", [("--theory", "invalid_theory_config"),
+                                        ("--alphabet", "invalid_alphabet")])
+def test_unreadable_config_file_is_a_domain_error(capsys, tmp_path, flag, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    for path in (tmp_path / "missing.json", bad):
+        # the flag's file loads before the handler, which would succeed
+        status, out, err = run_cli(capsys, "--format", "json", flag, str(path), "fib", "7")
+        assert status == 1
+        assert out == ""
+        assert json.loads(err)["code"] == code
+
+
+def _fresh_modules(tmp_path, argv) -> list[str]:
+    """The zeckgodel modules a fresh process has loaded after cli.main(argv)."""
+    script = (
+        "import json, sys\n"
+        "from zeckgodel import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'zeckgodel')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(zeckgodel.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_command_loads_only_the_layers_it_uses(tmp_path):
+    assert _fresh_modules(tmp_path, ["--format", "json", "fib", "7"]) == [
+        "zeckgodel", "zeckgodel.cli", "zeckgodel.errors", "zeckgodel.numeric"]
+    proof = encode_proof([Eq(Zero(), Zero())])
+    literal = "Z[" + ",".join(map(str, proof.support)) + "]"
+    loaded = _fresh_modules(tmp_path, ["--format", "json", "proof", "check", literal])
+    assert "zeckgodel.logic" in loaded
+    assert "zeckgodel.primecode" not in loaded and "zeckgodel.oracle" not in loaded
+
+
+def _parse_by_int(text: str) -> int:
+    """parse_nat as it was before the split: int() on every literal."""
+    t = text.strip()
+    try:
+        n = int(t, 16) if t.lower().startswith("0x") else int(t, 10)
+    except ValueError:
+        raise ZeckGodelError(f"not a natural number literal: {text!r}") from None
+    if n < 0:
+        raise ZeckGodelError(f"negative value not allowed: {text!r}")
+    return n
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ZeckGodelError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def no_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_parse_nat_equals_int_across_the_split(no_digit_limit):
+    rng = random.Random(5)
+    lengths = [PARSE_LEAF_DIGITS - 1, PARSE_LEAF_DIGITS, PARSE_LEAF_DIGITS + 1,
+               2 * PARSE_LEAF_DIGITS - 1, 2 * PARSE_LEAF_DIGITS, 2 * PARSE_LEAF_DIGITS + 1]
+    lengths += [rng.randrange(PARSE_LEAF_DIGITS, 200_000) for _ in range(6)] + [200_000]
+    for n in lengths:
+        digits = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=n - 1))
+        zeros = "0" * rng.choice((0, 1, 7, 2_000, 5_000))
+        for text in (digits, zeros + digits, " " + digits + "\n", "9" * n, "1" + "0" * (n - 1)):
+            assert parse_nat(text) == int(text), (n, len(zeros))
+
+
+def test_parse_nat_rejects_what_int_rejects(no_digit_limit):
+    long = "1" + "0" * (3 * PARSE_LEAF_DIGITS)
+    texts = ["1_000", "-5", "+5", "-0", "", " ", "0x1f", "x", "1e3", "2.5",
+             long, "+" + long, "-" + long, long[:100] + "_" + long[100:], long + "_",
+             long[:-1] + "\u0663", long[:50] + " " + long[50:], "0x" + "f" * 5_000]
+    for text in texts:
+        assert _outcome(parse_nat, text) == _outcome(_parse_by_int, text), text[:20]
+    # with int()'s digit limit in force, a literal past it is refused as before
+    sys.set_int_max_str_digits(PARSE_LEAF_DIGITS * 2)
+    assert _outcome(parse_nat, long) == _outcome(_parse_by_int, long)
+    assert isinstance(_outcome(parse_nat, long), str)

@@ -218,6 +218,20 @@ def test_cantor_unpair_and_positions_match_the_oracle_across_the_leaf():
         assert _positions(SeqCode(tuple(sorted((*c.support, e), reverse=True)))) is None
 
 
+def test_cantor_unpair_reads_both_root_parities_off_the_remainder():
+    # x = 0 makes the root of 8p + 1 odd, x = w even; the sizes of p straddle the leaf
+    rng = random.Random(78)
+    sizes = [1, 2, 3, 10, 64, *range(SQRT_LEAF_BITS - 8, SQRT_LEAF_BITS + 8), 5_000, 30_000, 100_000]
+    for bits in sizes:
+        w = rng.getrandbits(bits // 2 + 1) | 1
+        for x, parity in ((0, 1), (w, 0)):
+            p = cantor_pair(x, w - x)
+            assert isqrt(8 * p + 1) & 1 == parity
+            assert cantor_unpair(p) == unpair_oracle(p) == (x, w - x), bits
+        p = rng.getrandbits(bits)
+        assert cantor_unpair(p) == unpair_oracle(p), bits
+
+
 def test_lucas_ratio_is_within_the_guard_below_the_ratio():
     rng = random.Random(21)
     for m in (2, 4, 64, 1 << 10, 1 << 14, 1 << 15):
