@@ -324,6 +324,42 @@ def _cmd_compare(args, io, ctx):
 
 # --- parser ------------------------------------------------------------------
 
+# command path -> (handler, help, positionals); a positional is a name or a (name, help)
+# pair.  A command with no help gets no help=: argparse lists one given help=None.
+_COMMANDS = {
+    "fib": (_cmd_fib, "Fibonacci number F_e", ("index",)),
+    "pair": (_cmd_pair, "Cantor pairing", ("x", "y")),
+    "unpair": (_cmd_unpair, "inverse Cantor pairing", ("p",)),
+    "zeck encode": (_cmd_zeck_encode, None, (("indices", "support, e.g. Z[7,5,3] or [7,5,3] "),)),
+    "zeck decode": (_cmd_zeck_decode, None, ("n",)),
+    "seq encode": (_cmd_seq_encode, None, (("items", "JSON list, e.g. [0,0]"),)),
+    "seq decode": (_cmd_seq_decode, None, ("code",)),
+    "seq at": (_cmd_seq_at, None, ("code", "i")),
+    "seq concat": (_cmd_seq_concat, None, ("a", "b")),
+    "syntax parse": (_cmd_syntax_parse, None, ("text",)),
+    "syntax encode": (_cmd_syntax_encode, None, ("text",)),
+    "syntax decode": (_cmd_syntax_decode, None, ("code",)),
+    "syntax check": (_cmd_syntax_check, None, ("code",)),
+    "sub": (_cmd_sub, "substitute a term for a variable", ("formula", "term")),
+    "diag": (_cmd_diag, "diagonalize a formula code", ("code",)),
+    "fixpoint": (_cmd_fixpoint, "diagonal-lemma fixed point", ("formula",)),
+    "proof check": (_cmd_proof_check, None, (("code", "code literal or path to a file containing one"),)),
+    "prov": (_cmd_prov, "bounded provability search", ("formula",)),
+    "godel": (_cmd_godel, "construct the Godel sentence", ()),
+    "oracle check": (_cmd_oracle_check, None, ("n", "m", "k")),
+    "oracle solve": (_cmd_oracle_solve, None, ("n", "m")),
+    "oracle mp": (_cmd_oracle_mp, None, ("n",)),
+    "compare": (_cmd_compare, "Zeckendorf vs prime-exponent size report", ()),
+}
+_GROUPS = {
+    "zeck": "Zeckendorf encode/decode",
+    "seq": "sequence codes",
+    "syntax": "formula/term codes",
+    "proof": "proof codes",
+    "oracle": "Fibonacci verification oracle",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zeckgodel",
@@ -335,114 +371,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=DEFAULT_PRINT_THRESHOLD,
                    metavar="MAX_INDEX", help="materialization threshold (max support index)")
     p.add_argument("--bound", type=int, default=8, metavar="N", help="proof search step budget")
-    sub = p.add_subparsers(dest="command", required=True)
+    top = p.add_subparsers(dest="command", required=True)
+    groups = {"": top}
+    for path, (handler, help_text, positionals) in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group not in groups:
+            gp = top.add_parser(group, help=_GROUPS[group])
+            groups[group] = gp.add_subparsers(dest=f"{group}_command", required=True)
+        sub = groups[group]
+        sp = sub.add_parser(name, help=help_text) if help_text else sub.add_parser(name)
+        for arg in positionals:
+            arg, arg_help = (arg, None) if isinstance(arg, str) else arg
+            sp.add_argument(arg, help=arg_help)
+        sp.set_defaults(handler=handler)
 
-    sp = sub.add_parser("fib", help="Fibonacci number F_e")
-    sp.add_argument("index")
-    sp.set_defaults(handler=_cmd_fib)
-
-    sp = sub.add_parser("pair", help="Cantor pairing")
-    sp.add_argument("x")
-    sp.add_argument("y")
-    sp.set_defaults(handler=_cmd_pair)
-
-    sp = sub.add_parser("unpair", help="inverse Cantor pairing")
-    sp.add_argument("p")
-    sp.set_defaults(handler=_cmd_unpair)
-
-    sp = sub.add_parser("zeck", help="Zeckendorf encode/decode")
-    zsub = sp.add_subparsers(dest="zeck_command", required=True)
-    q = zsub.add_parser("encode")
-    q.add_argument("indices", help="support, e.g. Z[7,5,3] or [7,5,3] ")
-    q.set_defaults(handler=_cmd_zeck_encode)
-    q = zsub.add_parser("decode")
-    q.add_argument("n")
-    q.set_defaults(handler=_cmd_zeck_decode)
-
-    sp = sub.add_parser("seq", help="sequence codes")
-    qsub = sp.add_subparsers(dest="seq_command", required=True)
-    q = qsub.add_parser("encode")
-    q.add_argument("items", help="JSON list, e.g. [0,0]")
-    q.set_defaults(handler=_cmd_seq_encode)
-    q = qsub.add_parser("decode")
-    q.add_argument("code")
-    q.set_defaults(handler=_cmd_seq_decode)
-    q = qsub.add_parser("at")
-    q.add_argument("code")
-    q.add_argument("i")
-    q.set_defaults(handler=_cmd_seq_at)
-    q = qsub.add_parser("concat")
-    q.add_argument("a")
-    q.add_argument("b")
-    q.set_defaults(handler=_cmd_seq_concat)
-
-    sp = sub.add_parser("syntax", help="formula/term codes")
-    ssub = sp.add_subparsers(dest="syntax_command", required=True)
-    q = ssub.add_parser("parse")
-    q.add_argument("text")
-    q.set_defaults(handler=_cmd_syntax_parse)
-    q = ssub.add_parser("encode")
-    q.add_argument("text")
-    q.set_defaults(handler=_cmd_syntax_encode)
-    q = ssub.add_parser("decode")
-    q.add_argument("code")
-    q.set_defaults(handler=_cmd_syntax_decode)
-    q = ssub.add_parser("check")
-    q.add_argument("code")
-    q.set_defaults(handler=_cmd_syntax_check)
-
-    sp = sub.add_parser("sub", help="substitute a term for a variable")
-    sp.add_argument("formula")
-    sp.add_argument("term")
+    sp = top.choices["sub"]
     sp.add_argument("--var", default="v0")
     sp.add_argument("--free", action="store_true", help="replace free occurrences only")
-    sp.set_defaults(handler=_cmd_sub)
-
-    sp = sub.add_parser("diag", help="diagonalize a formula code")
-    sp.add_argument("code")
-    sp.set_defaults(handler=_cmd_diag)
-
-    sp = sub.add_parser("fixpoint", help="diagonal-lemma fixed point")
-    sp.add_argument("formula")
-    sp.set_defaults(handler=_cmd_fixpoint)
-
-    sp = sub.add_parser("proof", help="proof codes")
-    psub = sp.add_subparsers(dest="proof_command", required=True)
-    q = psub.add_parser("check")
-    q.add_argument("code", help="code literal or path to a file containing one")
-    q.set_defaults(handler=_cmd_proof_check)
-
-    sp = sub.add_parser("prov", help="bounded provability search")
-    sp.add_argument("formula")
-    sp.add_argument("--bound", dest="bound_local", type=int, default=None,
-                    metavar="N", help="step budget (overrides the global flag)")
-    sp.set_defaults(handler=_cmd_prov)
-
-    sp = sub.add_parser("godel", help="construct the Godel sentence")
-    sp.set_defaults(handler=_cmd_godel)
-
-    sp = sub.add_parser("oracle", help="Fibonacci verification oracle")
-    osub = sp.add_subparsers(dest="oracle_command", required=True)
-    q = osub.add_parser("check")
-    q.add_argument("n")
-    q.add_argument("m")
-    q.add_argument("k")
-    q.set_defaults(handler=_cmd_oracle_check)
-    q = osub.add_parser("solve")
-    q.add_argument("n")
-    q.add_argument("m")
-    q.set_defaults(handler=_cmd_oracle_solve)
-    q = osub.add_parser("mp")
-    q.add_argument("n")
-    q.set_defaults(handler=_cmd_oracle_mp)
-
-    sp = sub.add_parser("compare", help="Zeckendorf vs prime-exponent size report")
+    top.choices["prov"].add_argument("--bound", dest="bound_local", type=int, default=None,
+                                     metavar="N", help="step budget (overrides the global flag)")
+    sp = top.choices["compare"]
     sp.add_argument("--symbols", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--formula", help="benchmark this prefix-text sentence instead")
     sp.add_argument("--json", metavar="PATH", help="also write the report to a file")
-    sp.set_defaults(handler=_cmd_compare)
-
     return p
 
 

@@ -49,13 +49,12 @@ SCHEMA_NAMES = (
 
 @dataclass(frozen=True)
 class TheoryConfig:
-    """Axiom schemas, extra axioms, rule toggles, and the provability symbol."""
+    """Axiom schemas, extra axioms and rule toggles."""
 
     schemas: frozenset[str] = frozenset(SCHEMA_NAMES)
     extra_axioms: tuple[Formula, ...] = ()
     modus_ponens: bool = True
     generalization: bool = True
-    prov_symbol: str = "Prov"
 
     def __post_init__(self):
         unknown = self.schemas - set(SCHEMA_NAMES)
@@ -82,11 +81,11 @@ def load_theory(source) -> TheoryConfig:
             extra_axioms=extras,
             modus_ponens=bool(rules.get("modus_ponens", True)),
             generalization=bool(rules.get("generalization", True)),
-            prov_symbol=str(source.get("prov_symbol", "Prov")),
         )
     except TheoryConfigError:
         raise
-    except Exception as exc:
+    # a ParseError from an axiom; .get on a non-mapping; an unhashable or non-iterable field
+    except (ZeckGodelError, AttributeError, TypeError) as exc:
         raise TheoryConfigError(f"malformed theory config: {exc}") from exc
 
 

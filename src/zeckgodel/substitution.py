@@ -17,11 +17,12 @@ single sort merges runs that barely overlap.  ``diag``, ``fixed_point`` and
 copies ψ holds.
 
 Validation happens once, at the public entry: each code a caller passes in
-is decoded and checked a single time, and the internal steps splice the
-symbol codes that check returned.  ``diag`` and ``fixed_point`` read the
-numeral's symbol codes off the bits of the diagonal value and do not
-re-check the diagonal code m, a wff by construction, so no code the library
-has just built is decoded again.
+is decoded and checked a single time by the span pass (``syntax._spans``),
+and the internal steps splice the symbol codes that check returned, using
+its subtree ends to copy whole a quantifier that binds the target.
+``diag`` and ``fixed_point`` read the numeral's symbol codes off the bits of
+the diagonal value and do not re-check the diagonal code m, a wff by
+construction, so no code the library has just built is decoded again.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
     DiagFn,
-    Formula,
-    Term,
     Var,
-    _from_codes,
     _numeral_codes,
     _spans,
     _to_codes,
@@ -45,30 +43,23 @@ from .syntax import (
 DEFAULT_NUMERAL_BIT_LIMIT = 1 << 21
 
 
-def _validated(code: SeqCode, category: type, alphabet: Alphabet) -> list[int]:
-    """Symbol codes of ``code``, decoded once; raises unless it codes a ``category``.
-
-    A formula is decided by the span pass and a term by the parser.
-    """
+def _validated(code: SeqCode, root: int, alphabet: Alphabet) -> tuple[list[int], list[int]]:
+    """(symbol codes, subtree ends) of ``code``, decoded and span-passed once;
+    raises unless it codes a formula (``root`` 1) or a term (0)."""
     try:
         codes = seq_decode(code)
-        if category is Formula:
-            ok = _spans(codes, alphabet, {}) is not None
-        else:
-            ok = isinstance(_from_codes(codes, alphabet), Term)
+        spans = _spans(codes, alphabet, {}, root)
     except ZeckGodelError:
-        ok = False
-    if not ok:
-        if category is Formula:
-            raise NotWffCodeError("not a wff code")
-        raise NotTermCodeError("not a term code")
-    return codes
+        spans = None
+    if spans is None:
+        raise NotWffCodeError("not a wff code") if root else NotTermCodeError("not a term code")
+    return codes, spans[1]
 
 
 def _checked(formula_code, term_code, alphabet):
     fc = as_code(formula_code)
     tc = as_code(term_code)
-    return _validated(fc, Formula, alphabet), _validated(tc, Term, alphabet)
+    return _validated(fc, 1, alphabet), _validated(tc, 0, alphabet)[0]
 
 
 def _splice_code(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
@@ -96,45 +87,24 @@ def _splice_code(codes: list[int], target: int, replacement: list[int]) -> SeqCo
 
 
 def _free_spliced(
-    values: list[int], target: int, replacement: list[int], alphabet: Alphabet
+    codes: list[int], ends: list[int], target: int, replacement: list[int], alphabet: Alphabet
 ) -> list[int]:
-    """``values`` with only the free occurrences of ``target`` replaced."""
-    heads, offset = alphabet._heads, alphabet.offset
+    """``codes`` with only the free occurrences of ``target`` replaced; a
+    quantifier that binds ``target`` is copied whole, up to ``ends[i]``."""
+    binders = (alphabet.base["∀"], alphabet.base["∃"])
     out: list[int] = []
-    # frames: [pending subtree operands, whether this frame shadows the target]
-    frames: list[list] = []
-    shadow = 0
-    i, n = 0, len(values)
+    i, n = 0, len(codes)
     while i < n:
-        a = values[i]
-        slots = heads[a][1] if a < offset else ()
-        if slots and slots[0] == "v":  # binder: variable token is consumed inline
-            bound = values[i + 1]
-            out.append(a)
-            out.append(bound)
-            shadows = bound == target
-            shadow += shadows
-            frames.append([1, shadows])
-            i += 2
-            continue
-        if slots:
-            out.append(a)
-            frames.append([len(slots), False])
+        a = codes[i]
+        if a == target:
+            out += replacement
             i += 1
-            continue
-        # leaf: Zero or a variable
-        if a == target and shadow == 0:
-            out.extend(replacement)
+        elif a in binders and codes[i + 1] == target:
+            out += codes[i : ends[i]]
+            i = ends[i]
         else:
             out.append(a)
-        i += 1
-        if frames:
-            frames[-1][0] -= 1
-        while frames and frames[-1][0] == 0:
-            shadow -= frames[-1][1]
-            frames.pop()
-            if frames:
-                frames[-1][0] -= 1
+            i += 1
     return out
 
 
@@ -155,7 +125,7 @@ def sub_z(
 ) -> SeqCode:
     """Replace every occurrence of v_var (bound ones too) and re-encode."""
     alphabet = alphabet or DEFAULT_ALPHABET
-    codes, replacement = _checked(formula_code, term_code, alphabet)
+    (codes, _), replacement = _checked(formula_code, term_code, alphabet)
     return _splice_code(codes, alphabet.var_code(var), replacement)
 
 
@@ -167,8 +137,8 @@ def sub_free(
 ) -> SeqCode:
     """Replace only free occurrences of v_var; agrees with sub_z off binders."""
     alphabet = alphabet or DEFAULT_ALPHABET
-    codes, replacement = _checked(formula_code, term_code, alphabet)
-    return seq_encode(_free_spliced(codes, alphabet.var_code(var), replacement, alphabet))
+    (codes, ends), replacement = _checked(formula_code, term_code, alphabet)
+    return seq_encode(_free_spliced(codes, ends, alphabet.var_code(var), replacement, alphabet))
 
 
 def diag(
@@ -180,7 +150,7 @@ def diag(
     """Substitute the formula's own value, as a numeral, for its free variable."""
     alphabet = alphabet or DEFAULT_ALPHABET
     c = as_code(code)
-    codes = _validated(c, Formula, alphabet)
+    codes, _ = _validated(c, 1, alphabet)
     return _splice_code(codes, alphabet.var_code(var), _numeral_for(c, max_bits, alphabet))
 
 
@@ -199,7 +169,7 @@ def fixed_point(
     pc = as_code(phi_code)
     inner = _to_codes(DiagFn(Var(var)), alphabet)
     target = alphabet.var_code(var)
-    theta = _free_spliced(_validated(pc, Formula, alphabet), target, inner, alphabet)
+    theta = _free_spliced(*_validated(pc, 1, alphabet), target, inner, alphabet)
     m = seq_encode(theta)
     psi = _splice_code(theta, target, _numeral_for(m, max_bits, alphabet))
     return psi, m

@@ -11,11 +11,13 @@ multi-thousand-bit values nest far deeper than any recursion limit.  A
 variable is decoded as ``code - offset``, never through text.  ``flatten``,
 ``parse`` and ``format_text`` are glyph-string wrappers over the two.
 
-The proof checker reads formulas through a third pass, ``_spans``: one
-right-to-left pass over a formula's codes that checks operand categories
-and gives each position the end of its subtree and an integer id, equal
-for two subtrees exactly when their codes are (hash-consing on code spans).
-AST nodes compare and hash by their symbol codes, so ``==`` never recurses.
+The parser runs only where an AST is returned.  Everything else, the code
+predicates, substitution's entry checks and the proof checker, reads codes
+through ``_spans``: one right-to-left pass over a term's or a formula's codes
+that checks operand categories and gives each position the end of its
+subtree and an integer id, equal for two subtrees exactly when their codes
+are (hash-consing on code spans).  AST nodes compare and hash by their
+symbol codes, so ``==`` never recurses.
 """
 
 from __future__ import annotations
@@ -381,8 +383,8 @@ def _from_codes(codes: Sequence[int], alphabet: Alphabet, expect: str | None = N
 
 # --- the span pass --------------------------------------------------------
 
-def _spans(codes: Sequence[int], alphabet: Alphabet, table: dict) -> tuple[list[int], list[int]] | None:
-    """(ids, ends) of a formula's prefix codes, or None unless they code a wff.
+def _spans(codes: Sequence[int], alphabet: Alphabet, table: dict, root: int = 1) -> tuple[list[int], list[int]] | None:
+    """(ids, ends) of a formula's (``root`` 1) or a term's (0) prefix codes, else None.
 
     One right-to-left pass with a stack of positions checks each operand's
     category and records, for each position i, ``ends[i]``, the end of the
@@ -429,7 +431,7 @@ def _spans(codes: Sequence[int], alphabet: Alphabet, table: dict) -> tuple[list[
         ids[i] = 2 * table.setdefault(key, len(table)) + category
         ends[i] = ends[p]
         stack.append(i)
-    if len(stack) != 1 or not ids[0] & 1:
+    if len(stack) != 1 or ids[0] & 1 != root:
         return None
     return ids, ends
 
@@ -478,20 +480,22 @@ def decode_syntax(c: "SeqCode | int", alphabet: Alphabet | None = None) -> "Term
     return _from_codes(seq_decode(c), alphabet or DEFAULT_ALPHABET)
 
 
-def is_wff_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
-    """True iff c codes a formula; decided by the span pass, with no AST built."""
+def _is_syntax_code(c: "SeqCode | int", alphabet: Alphabet | None, root: int) -> bool:
     try:
         codes = seq_decode(c)
     except ZeckGodelError:
         return False
-    return _spans(codes, alphabet or DEFAULT_ALPHABET, {}) is not None
+    return _spans(codes, alphabet or DEFAULT_ALPHABET, {}, root) is not None
+
+
+def is_wff_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
+    """True iff c codes a formula; decided by the span pass, with no AST built."""
+    return _is_syntax_code(c, alphabet, 1)
 
 
 def is_term_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
-    try:
-        return isinstance(decode_syntax(c, alphabet), Term)
-    except ZeckGodelError:
-        return False
+    """True iff c codes a term; decided by the span pass, with no AST built."""
+    return _is_syntax_code(c, alphabet, 0)
 
 
 def numeral(n: int) -> Term:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import zeckgodel
-from zeckgodel.cli import PARSE_LEAF_DIGITS, main, parse_nat
+from zeckgodel.cli import PARSE_LEAF_DIGITS, build_parser, main, parse_nat
 from zeckgodel.errors import ZeckGodelError
 from zeckgodel.syntax import DEFAULT_ALPHABET, Eq, Zero, encode_proof
 
@@ -174,6 +175,60 @@ def test_compare_command(capsys, tmp_path):
     assert json.loads(out_path.read_text())["sequence_length"] == 12
     code, out, _ = run_cli(capsys, "compare", "--formula", "(= (S 0) (S 0))")
     assert json.loads(out)["sequence_length"] == 5
+
+
+# command path -> (positional names, option strings other than -h/--help);
+# a group's one positional is the dest of its subcommand
+_COMMAND_SET = {
+    "": ("command", "--alphabet --theory --format --threshold --bound"),
+    "fib": ("index", ""),
+    "pair": ("x y", ""),
+    "unpair": ("p", ""),
+    "zeck": ("zeck_command", ""),
+    "zeck encode": ("indices", ""),
+    "zeck decode": ("n", ""),
+    "seq": ("seq_command", ""),
+    "seq encode": ("items", ""),
+    "seq decode": ("code", ""),
+    "seq at": ("code i", ""),
+    "seq concat": ("a b", ""),
+    "syntax": ("syntax_command", ""),
+    "syntax parse": ("text", ""),
+    "syntax encode": ("text", ""),
+    "syntax decode": ("code", ""),
+    "syntax check": ("code", ""),
+    "sub": ("formula term", "--var --free"),
+    "diag": ("code", ""),
+    "fixpoint": ("formula", ""),
+    "proof": ("proof_command", ""),
+    "proof check": ("code", ""),
+    "prov": ("formula", "--bound"),
+    "godel": ("", ""),
+    "oracle": ("oracle_command", ""),
+    "oracle check": ("n m k", ""),
+    "oracle solve": ("n m", ""),
+    "oracle mp": ("n", ""),
+    "compare": ("", "--symbols --seed --formula --json"),
+}
+
+
+def _command_set(parser, path=""):
+    positionals, options, out = [], [], {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings:
+            options += action.option_strings
+        else:
+            positionals.append(action.dest)
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out.update(_command_set(child, f"{path} {name}".strip()))
+    return {path: (" ".join(positionals), " ".join(options)), **out}
+
+
+def test_command_set_is_pinned():
+    assert _command_set(build_parser()) == _COMMAND_SET
 
 
 def test_domain_error_contract(capsys):

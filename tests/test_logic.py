@@ -303,6 +303,19 @@ def test_load_theory(tmp_path):
         load_theory({"extra_axioms": ["(= 0"]})
 
 
+@pytest.mark.parametrize("config", [
+    ["K"],  # not a mapping: no .get
+    {"schemas": 5},  # not iterable
+    {"schemas": [["K"]]},  # not hashable
+    {"extra_axioms": [5]},  # not text
+    {"extra_axioms": 5},
+    {"rules": []},
+], ids=["list", "schemas-int", "schemas-nested", "axiom-int", "axioms-int", "rules-list"])
+def test_load_theory_rejects_malformed_configs(config):
+    with pytest.raises(TheoryConfigError):
+        load_theory(config)
+
+
 def test_godel_sentence_fixed_point_identity():
     g, m = godel_sentence()
     assert g.support == diag(m).support

@@ -3,6 +3,7 @@ import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zeckgodel.errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
 from zeckgodel.seqcode import is_code, seq_decode, seq_encode, seq_len, to_number
@@ -28,6 +29,7 @@ from zeckgodel.syntax import (
 )
 
 from helpers import pair_oracle, random_formula, random_term, seq_number_oracle, shuffled_alphabet
+from test_syntax import _formula_strategy
 
 S0 = Succ(Zero())
 
@@ -299,6 +301,25 @@ def test_substitution_matches_old_composition(alphabet):
         old = sub_z(m, encode_syntax(numeral(to_number(m, max_index=m.max_index)), alphabet), var, alphabet)
         assert psi.support == old.support
         assert psi.support == diag(m, var, alphabet).support
+
+
+_V0_EQ_0 = Eq(Var(0), Zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_formula_strategy, st.integers(0, 3))
+@example(Forall(0, Imp(_V0_EQ_0, Forall(0, _V0_EQ_0))), 0)  # bound again inside its own scope
+@example(Imp(_V0_EQ_0, Exists(0, Eq(Var(0), Var(1)))), 0)  # shadowed by ∃
+@example(Imp(_V0_EQ_0, Forall(0, _V0_EQ_0)), 0)  # free left of →, bound right
+@example(Imp(Exists(0, _V0_EQ_0), _V0_EQ_0), 0)  # bound left of →, free right
+@example(Forall(1, Imp(Exists(0, _V0_EQ_0), Forall(2, _V0_EQ_0))), 0)  # free under other binders
+def test_free_substitution_matches_the_ast_oracle_on_nested_binders(phi, var):
+    t = Succ(Var(var))  # the replacement holds the target, so a second pass would show
+    fc = encode_syntax(phi)
+    assert sub_free(fc, encode_syntax(t), var).support == seq_encode(codes_of(_free_subst(phi, var, t))).support
+    if len(flatten(phi)) <= 80:  # ψ's numeral makes fixed_point take seconds on ~400 symbols
+        _, m = fixed_point(fc, var)
+        assert m.support == seq_encode(codes_of(_free_subst(phi, var, DiagFn(Var(var))))).support
 
 
 # --- the shifting splice encoder against the generic encoder ------------------

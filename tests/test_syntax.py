@@ -11,6 +11,7 @@ from zeckgodel.errors import (
     InvalidSymbolError,
     NotProofCodeError,
     ParseError,
+    ZeckGodelError,
 )
 from zeckgodel.seqcode import SeqCode, seq_encode, to_number
 from zeckgodel.syntax import (
@@ -46,9 +47,9 @@ from zeckgodel.syntax import (
     parse,
     parse_text,
 )
-from zeckgodel.syntax import _from_codes, _numeral_codes, _to_codes
+from zeckgodel.syntax import _from_codes, _numeral_codes, _spans, _to_codes
 
-from helpers import eval_term, random_formula, shuffled_alphabet
+from helpers import eval_term, random_formula, random_term, shuffled_alphabet
 
 
 def test_default_alphabet_table():
@@ -423,3 +424,35 @@ def test_ast_equality_does_not_recurse():
     assert Var(3) == Var(3) and Var(3) != Var(4) and Zero() != Var(0) and Eq(Zero(), Zero()) != Zero()
     assert len({x, y, Eq(Zero(), Zero()), Eq(Zero(), Zero())}) == 2
     assert [f.name for f in fields(Forall)] == ["var", "body"]
+
+
+@pytest.mark.parametrize("alphabet", _ALPHABETS, ids=["default", "offset40"])
+def test_span_pass_accepts_exactly_the_parsers_terms_and_formulas(alphabet):
+    rng = random.Random(1212)
+    # every glyph, three variables and two codes that are no symbol
+    pool = list(alphabet.base.values()) + [alphabet.offset + k for k in range(3)] + [0, alphabet.offset - 1]
+    accepted = {Term: 0, Formula: 0}
+    rejected = 0
+    for _ in range(3000):
+        node = random_term(rng, 3) if rng.random() < 0.5 else random_formula(rng, 3)
+        walked = _to_codes(node, alphabet)
+        i = rng.randrange(len(walked))
+        variants = [
+            walked,
+            walked[:i] + [rng.choice(pool)] + walked[i + 1 :],  # one symbol changed
+            walked[:i] + walked[i + 1 :],  # one dropped
+            walked[:i] + [rng.choice(pool)] + walked[i:],  # one inserted
+            [rng.choice(pool) for _ in range(rng.randrange(6))],
+        ]
+        for codes in variants:
+            try:
+                parsed = _from_codes(codes, alphabet)
+            except ZeckGodelError:
+                parsed = None
+            for root, kind in ((0, Term), (1, Formula)):
+                spans = _spans(codes, alphabet, {}, root)
+                assert (spans is not None) == isinstance(parsed, kind), (root, codes)
+                accepted[kind] += spans is not None
+            rejected += parsed is None
+    # about 1,500 of each kind are walked as they are; the rest are variants
+    assert min(accepted.values()) >= 2000 and rejected >= 8000, (accepted, rejected)
