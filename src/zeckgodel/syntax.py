@@ -227,7 +227,7 @@ class Alphabet:
         return sym
 
     def var_code(self, index: int) -> int:
-        return index + self.offset
+        return _var_code(index, self.offset)
 
 
 def default_alphabet() -> Alphabet:

@@ -1,11 +1,12 @@
 import random
 import sys
 from dataclasses import fields
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zeckgodel.errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
+from zeckgodel.errors import AlphabetError, NotTermCodeError, NotWffCodeError, NumeralTooLargeError
 from zeckgodel.seqcode import is_code, seq_decode, seq_encode, seq_len, to_number
 from zeckgodel.substitution import _splice_code, diag, fixed_point, sub_free, sub_z
 from zeckgodel.syntax import (
@@ -27,6 +28,7 @@ from zeckgodel.syntax import (
     is_wff_code,
     numeral,
 )
+from zeckgodel.zeckendorf import is_valid_support
 
 from helpers import pair_oracle, random_formula, random_term, seq_number_oracle, shuffled_alphabet
 from test_syntax import _formula_strategy
@@ -346,6 +348,103 @@ def test_splice_code_matches_encoding_the_spliced_list():
         got = _splice_code(codes, target, replacement)
         assert got.support == want.support
         assert got.number == want.number  # 0 for the empty code, else not yet known
+
+
+def _lane_edge(bound, p):
+    """(codes, target, replacement) whose largest spliced index is the largest
+    one below ``bound``: copies of [1, 0, a] at offsets 0 and p, the last at
+    the end, with a as large as that allows."""
+
+    def top(a):  # index of a at position 3 of the copy p places in
+        s = a + 3 + p
+        return s * (s + 1) + 2 * a + 1
+
+    a = isqrt(bound) - 3 - p
+    while top(a) >= bound:
+        a -= 1
+    while top(a + 1) < bound:
+        a += 1
+    return [16] + [5] * (p - 3) + [16], 16, [1, 0, a]
+
+
+@pytest.mark.parametrize("bound", [2**64, 2**128], ids=["2^64", "2^128"])
+@pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+def test_splice_code_across_lane_widths(bound, side):
+    # the largest index in a copy decides how many 64-bit words a lane needs:
+    # 1 | 2 words across 2^64, 2 | 3 across 2^128; a lane one word too narrow
+    # would carry into its neighbour or out of the top
+    codes, target, replacement = _lane_edge(bound, 8)
+    replacement[-1] += side
+    want = seq_encode(_spliced(codes, target, replacement))
+    assert (want.support[0] >= bound) == side
+    assert _splice_code(codes, target, replacement).support == want.support
+
+
+def test_splice_code_edge_placements():
+    a = _lane_edge(2**64, 8)[2][-1]
+    cases = [
+        ([16, 7, 16], 16, []),  # an empty replacement deletes the target
+        ([7, 8, 7], 16, [1, 0, a]),  # absent target
+        ([16, 7, 8], 16, [1, 0, a + 1]),  # target at position 1: p = 0 only
+        ([7, 8, 9, 16], 16, [a, 0, a + 1]),  # the largest p, at the end
+        ([16], 16, [2**64 - 1, 2**64, 2**128]),
+    ]
+    for codes, target, replacement in cases:
+        want = seq_encode(_spliced(codes, target, replacement))
+        assert _splice_code(codes, target, replacement).support == want.support
+
+
+def _near(bits):
+    return st.integers(-3, 3).map(lambda d: 2**bits + d)
+
+
+_LANE_ITEMS = st.one_of(
+    st.integers(0, 20), _near(31), _near(32), _near(63), st.integers(2**64, 2**200)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LANE_ITEMS, max_size=16), st.lists(_LANE_ITEMS, max_size=8), st.data())
+def test_splice_code_property_near_word_edges(codes, replacement, data):
+    target = data.draw(st.sampled_from(codes) if codes else _LANE_ITEMS)
+    got = _splice_code(codes, target, replacement)
+    assert got.support == seq_encode(_spliced(codes, target, replacement)).support
+    assert is_valid_support(got.support)
+
+
+def test_public_splice_with_a_variable_past_two_to_the_forty():
+    big = Var(2**40)
+    phi = Imp(Eq(Var(0), big), Eq(Succ(Var(0)), Zero()))
+    t = Succ(big)
+    fc = encode_syntax(phi)
+    # v_{2^40}'s code puts the copies' indices past 2^64, in two-word lanes
+    out = sub_z(fc, encode_syntax(t))
+    assert out.support[0] >= 2**64
+    assert out.support == seq_encode(_spliced(codes_of(phi), DEFAULT_ALPHABET.var_code(0), codes_of(t))).support
+    assert decode_syntax(out) == Imp(Eq(t, big), Eq(Succ(t), Zero()))
+    # the formula's own value has about 2^79 bits, so its numeral is refused
+    # before any splice
+    with pytest.raises(NumeralTooLargeError):
+        diag(fc)
+    with pytest.raises(NumeralTooLargeError):
+        fixed_point(fc)
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(5)], ids=["default", "offset40"])
+@pytest.mark.parametrize("var", [-1, -3, -25, 2.0, "0", True])
+def test_substitutions_refuse_a_variable_index_that_is_not_natural(alphabet, var):
+    # -3 + 16 and -25 + 40 are the codes of base glyphs, so an unchecked index
+    # would replace a symbol that is no variable
+    fc = encode_syntax(Neg(ProvP(Var(0))), alphabet)
+    tc = encode_syntax(Zero(), alphabet)
+    with pytest.raises(AlphabetError):
+        sub_z(fc, tc, var, alphabet)
+    with pytest.raises(AlphabetError):
+        sub_free(fc, tc, var, alphabet)
+    with pytest.raises(AlphabetError):
+        diag(fc, var, alphabet)
+    with pytest.raises(AlphabetError):
+        fixed_point(fc, var, alphabet)
 
 
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(5)], ids=["default", "offset40"])
