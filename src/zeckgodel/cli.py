@@ -86,7 +86,7 @@ def parse_code_literal(text: str) -> SeqCode:
     return from_number(parse_nat(t))
 
 
-def parse_formula_arg(text: str, alphabet: Alphabet) -> SeqCode:
+def parse_formula_arg(text: str, alphabet: Alphabet | None) -> SeqCode:
     """A formula given either as prefix text or as a code literal."""
     from .syntax import encode_syntax, parse_text
     t = text.strip()
@@ -118,67 +118,49 @@ def code_json(c: SeqCode, threshold: int) -> dict:
     return out
 
 
-class _Io:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def emit(self, payload: dict, text: str | None = None) -> None:
-        if self.fmt == "json" or text is None:
-            print(json.dumps(payload))
-        else:
-            print(text)
-
-
-class _Context(dict):
-    """The handlers' settings; the default alphabet and theory are built on first read."""
-
-    def __missing__(self, key: str):
-        if key == "alphabet":
-            from .syntax import default_alphabet as default
-        elif key == "theory":
-            from .logic import default_theory as default
-        else:
-            raise KeyError(key)
-        value = self[key] = default()
-        return value
+def _emit(args, payload: dict, text: str | None = None) -> None:
+    if args.format == "json" or text is None:
+        print(json.dumps(payload))
+    else:
+        print(text)
 
 
 # --- command handlers --------------------------------------------------------
 #
 # Each handler imports the layers it uses, so a process loads no others.
 
-def _cmd_fib(args, io, ctx):
+def _cmd_fib(args):
     from .numeric import fib
     value = fib(parse_nat(args.index))
-    io.emit({"value": str(value)}, str(value))
+    _emit(args, {"value": str(value)}, str(value))
 
 
-def _cmd_pair(args, io, ctx):
+def _cmd_pair(args):
     from .numeric import cantor_pair
     value = cantor_pair(parse_nat(args.x), parse_nat(args.y))
-    io.emit({"value": str(value)}, str(value))
+    _emit(args, {"value": str(value)}, str(value))
 
 
-def _cmd_unpair(args, io, ctx):
+def _cmd_unpair(args):
     from .numeric import cantor_unpair
     x, y = cantor_unpair(parse_nat(args.p))
-    io.emit({"x": str(x), "y": str(y)}, f"{x} {y}")
+    _emit(args, {"x": str(x), "y": str(y)}, f"{x} {y}")
 
 
-def _cmd_zeck_encode(args, io, ctx):
+def _cmd_zeck_encode(args):
     from .seqcode import SeqCode, to_number
     support = parse_support_literal(args.indices)
-    value = to_number(SeqCode(support), max_index=ctx["threshold"])
-    io.emit({"value": str(value)}, str(value))
+    value = to_number(SeqCode(support), max_index=args.threshold)
+    _emit(args, {"value": str(value)}, str(value))
 
 
-def _cmd_zeck_decode(args, io, ctx):
+def _cmd_zeck_decode(args):
     from .zeckendorf import z_decode
     support = z_decode(parse_nat(args.n))
-    io.emit({"support": list(support)}, "Z[" + ",".join(map(str, support)) + "]")
+    _emit(args, {"support": list(support)}, "Z[" + ",".join(map(str, support)) + "]")
 
 
-def _cmd_seq_encode(args, io, ctx):
+def _cmd_seq_encode(args):
     from .seqcode import seq_encode
     try:
         items = json.loads(args.items)
@@ -188,129 +170,129 @@ def _cmd_seq_encode(args, io, ctx):
         isinstance(a, int) and not isinstance(a, bool) and a >= 0 for a in items
     ):
         raise ZeckGodelError("sequence must be a JSON list of naturals")
-    io.emit(code_json(seq_encode(items), ctx["threshold"]))
+    _emit(args, code_json(seq_encode(items), args.threshold))
 
 
-def _cmd_seq_decode(args, io, ctx):
+def _cmd_seq_decode(args):
     from .seqcode import seq_decode
-    io.emit({"sequence": seq_decode(parse_code_literal(args.code))})
+    _emit(args, {"sequence": seq_decode(parse_code_literal(args.code))})
 
 
-def _cmd_seq_at(args, io, ctx):
+def _cmd_seq_at(args):
     from .seqcode import symbol_at
     value = symbol_at(parse_code_literal(args.code), parse_nat(args.i))
-    io.emit({"value": str(value)}, str(value))
+    _emit(args, {"value": str(value)}, str(value))
 
 
-def _cmd_seq_concat(args, io, ctx):
+def _cmd_seq_concat(args):
     from .seqcode import concat
     result = concat(parse_code_literal(args.a), parse_code_literal(args.b))
-    io.emit(code_json(result, ctx["threshold"]))
+    _emit(args, code_json(result, args.threshold))
 
 
-def _cmd_syntax_parse(args, io, ctx):
+def _cmd_syntax_parse(args):
     from .syntax import Formula, format_text, parse_text
     node = parse_text(args.text)
-    io.emit({"text": format_text(node), "kind": "formula" if isinstance(node, Formula) else "term"},
-            format_text(node))
+    _emit(args, {"text": format_text(node), "kind": "formula" if isinstance(node, Formula) else "term"},
+          format_text(node))
 
 
-def _cmd_syntax_encode(args, io, ctx):
+def _cmd_syntax_encode(args):
     from .syntax import encode_syntax, parse_text
     node = parse_text(args.text)
-    io.emit(code_json(encode_syntax(node, ctx["alphabet"]), ctx["threshold"]))
+    _emit(args, code_json(encode_syntax(node, args.alphabet), args.threshold))
 
 
-def _cmd_syntax_decode(args, io, ctx):
+def _cmd_syntax_decode(args):
     from .syntax import decode_syntax, format_text
-    node = decode_syntax(parse_code_literal(args.code), ctx["alphabet"])
-    io.emit({"text": format_text(node)}, format_text(node))
+    node = decode_syntax(parse_code_literal(args.code), args.alphabet)
+    _emit(args, {"text": format_text(node)}, format_text(node))
 
 
-def _cmd_syntax_check(args, io, ctx):
+def _cmd_syntax_check(args):
     from .seqcode import is_code
     from .syntax import is_term_code, is_wff_code
     c = parse_code_literal(args.code)
     payload = {
         "is_code": is_code(c),
-        "is_wff": is_wff_code(c, ctx["alphabet"]),
-        "is_term": is_term_code(c, ctx["alphabet"]),
+        "is_wff": is_wff_code(c, args.alphabet),
+        "is_term": is_term_code(c, args.alphabet),
     }
-    io.emit(payload)
+    _emit(args, payload)
 
 
-def _cmd_sub(args, io, ctx):
+def _cmd_sub(args):
     from .substitution import sub_free, sub_z
-    alphabet = ctx["alphabet"]
+    alphabet = args.alphabet
     fc = parse_formula_arg(args.formula, alphabet)
     tc = parse_formula_arg(args.term, alphabet)
     var = parse_var(args.var)
     op = sub_free if args.free else sub_z
-    io.emit(code_json(op(fc, tc, var, alphabet), ctx["threshold"]))
+    _emit(args, code_json(op(fc, tc, var, alphabet), args.threshold))
 
 
-def _cmd_diag(args, io, ctx):
+def _cmd_diag(args):
     from .substitution import diag
-    c = parse_formula_arg(args.code, ctx["alphabet"])
-    io.emit(code_json(diag(c, alphabet=ctx["alphabet"]), ctx["threshold"]))
+    c = parse_formula_arg(args.code, args.alphabet)
+    _emit(args, code_json(diag(c, alphabet=args.alphabet), args.threshold))
 
 
-def _cmd_fixpoint(args, io, ctx):
+def _cmd_fixpoint(args):
     from .substitution import fixed_point
-    psi, m = fixed_point(parse_formula_arg(args.formula, ctx["alphabet"]), alphabet=ctx["alphabet"])
-    io.emit({"psi": code_json(psi, ctx["threshold"]), "m": code_json(m, ctx["threshold"])})
+    psi, m = fixed_point(parse_formula_arg(args.formula, args.alphabet), alphabet=args.alphabet)
+    _emit(args, {"psi": code_json(psi, args.threshold), "m": code_json(m, args.threshold)})
 
 
-def _cmd_proof_check(args, io, ctx):
+def _cmd_proof_check(args):
     from .logic import check_proof
     text = args.code
     if os.path.exists(text):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
-    ok = check_proof(parse_code_literal(text), ctx["theory"], ctx["alphabet"])
-    io.emit({"ok": ok}, "true" if ok else "false")
+    ok = check_proof(parse_code_literal(text), args.theory, args.alphabet)
+    _emit(args, {"ok": ok}, "true" if ok else "false")
 
 
-def _cmd_prov(args, io, ctx):
+def _cmd_prov(args):
     from .logic import prov_bounded
-    target = parse_formula_arg(args.formula, ctx["alphabet"])
-    bound = args.bound_local if args.bound_local is not None else ctx["bound"]
-    found = prov_bounded(target, bound, ctx["theory"], ctx["alphabet"])
+    target = parse_formula_arg(args.formula, args.alphabet)
+    bound = args.bound_local if args.bound_local is not None else args.bound
+    found = prov_bounded(target, bound, args.theory, args.alphabet)
     if found is None:
-        io.emit({"proof": None}, "none")
+        _emit(args, {"proof": None}, "none")
     else:
-        io.emit({"proof": code_json(found, ctx["threshold"])})
+        _emit(args, {"proof": code_json(found, args.threshold)})
 
 
-def _cmd_godel(args, io, ctx):
+def _cmd_godel(args):
     from .logic import godel_sentence
-    g, m = godel_sentence(ctx["theory"], ctx["alphabet"])
-    io.emit({"g": code_json(g, ctx["threshold"]), "m": code_json(m, ctx["threshold"])})
+    g, m = godel_sentence(args.theory, args.alphabet)
+    _emit(args, {"g": code_json(g, args.threshold), "m": code_json(m, args.threshold)})
 
 
-def _cmd_oracle_check(args, io, ctx):
+def _cmd_oracle_check(args):
     from .oracle import oracle_check
     ok = oracle_check(parse_nat(args.n), parse_nat(args.m), parse_nat(args.k))
-    io.emit({"ok": ok}, "true" if ok else "false")
+    _emit(args, {"ok": ok}, "true" if ok else "false")
 
 
-def _cmd_oracle_solve(args, io, ctx):
+def _cmd_oracle_solve(args):
     from .oracle import oracle_solve
     k = oracle_solve(parse_nat(args.n), parse_nat(args.m))
-    io.emit({"k": k}, "none" if k is None else str(k))
+    _emit(args, {"k": k}, "none" if k is None else str(k))
 
 
-def _cmd_oracle_mp(args, io, ctx):
+def _cmd_oracle_mp(args):
     from .oracle import mp_witness
     t = mp_witness(parse_nat(args.n))
-    io.emit({"n": t.n, "m": t.m, "k": t.k}, f"{t.n} {t.m} {t.k}")
+    _emit(args, {"n": t.n, "m": t.m, "k": t.k}, f"{t.n} {t.m} {t.k}")
 
 
-def _cmd_compare(args, io, ctx):
+def _cmd_compare(args):
     from .primecode import compare_sizes
     if args.formula is not None:
-        from .syntax import _to_codes, parse_text
-        seq = _to_codes(parse_text(args.formula), ctx["alphabet"])
+        from .syntax import DEFAULT_ALPHABET, _to_codes, parse_text
+        seq = _to_codes(parse_text(args.formula), args.alphabet or DEFAULT_ALPHABET)
     else:
         import random
         rng = random.Random(args.seed)
@@ -319,7 +301,7 @@ def _cmd_compare(args, io, ctx):
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
-    io.emit(report)
+    _emit(args, report)
 
 
 # --- parser ------------------------------------------------------------------
@@ -404,14 +386,14 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # the threshold already bounds print sizes
     try:
-        ctx = _Context(threshold=args.threshold, bound=args.bound)
+        # a config path becomes its object; without one, each library entry applies its default
         if args.alphabet:
             from .syntax import load_alphabet
-            ctx["alphabet"] = load_alphabet(args.alphabet)
+            args.alphabet = load_alphabet(args.alphabet)
         if args.theory:
             from .logic import load_theory
-            ctx["theory"] = load_theory(args.theory)
-        args.handler(args, _Io(args.format), ctx)
+            args.theory = load_theory(args.theory)
+        args.handler(args)
     except ZeckGodelError as exc:
         err = {"code": exc.code, "message": str(exc)}
         position = getattr(exc, "position", None)

@@ -28,11 +28,11 @@ from .syntax import (
     Neg,
     ProvP,
     Var,
+    _read,
     _read_config,
     _spans,
     _to_codes,
     encode_syntax,
-    is_wff_code,
     parse_text,
 )
 
@@ -200,14 +200,11 @@ def _forall_inst(codes, ids, ends, p: int, alphabet: Alphabet) -> bool:
 _WALKS = {"eq_subst": _eq_subst, "forall_inst": _forall_inst}
 
 
-def _axiom_test(theory: TheoryConfig, alphabet: Alphabet):
-    """The theory's axiom predicate, ``test(codes, ids, ends, p=0)``, on the
-    formula at p of a span-passed list."""
-    return _axioms(theory, alphabet)[0]
-
-
 def _axioms(theory: TheoryConfig, alphabet: Alphabet):
     """(axiom predicate, symbol codes of each extra axiom) of the theory.
+
+    The predicate, ``test(codes, ids, ends, p=0)``, reads the formula at p
+    of a span-passed list.
 
     Built once per (theory, alphabet) and kept on the frozen theory itself,
     keyed by the alphabet's id; the entry holds the alphabet, so that id
@@ -240,7 +237,7 @@ def _axioms(theory: TheoryConfig, alphabet: Alphabet):
 def is_axiom(f: Formula, theory: TheoryConfig | None = None) -> bool:
     codes = _to_codes(f, DEFAULT_ALPHABET)
     spans = _spans(codes, DEFAULT_ALPHABET, {})
-    return spans is not None and _axiom_test(theory or default_theory(), DEFAULT_ALPHABET)(codes, *spans)
+    return spans is not None and _axioms(theory or default_theory(), DEFAULT_ALPHABET)[0](codes, *spans)
 
 
 def check_mp(p: Formula, q: Formula, r: Formula) -> bool:
@@ -253,16 +250,9 @@ def check_mp(p: Formula, q: Formula, r: Formula) -> bool:
 def check_mp_codes(pc, qc, rc, alphabet: Alphabet | None = None) -> bool:
     """True iff p and r are wff codes and q codes p -> r."""
     alphabet = alphabet or DEFAULT_ALPHABET
-    try:
-        p, q, r = seq_decode(pc), seq_decode(qc), seq_decode(rc)
-    except ZeckGodelError:
-        return False
+    p, q, r = (_read(c, alphabet, {}) for c in (pc, qc, rc))
     # the codes of a wff end where its tree does, so q's split is p's length
-    return (
-        _spans(p, alphabet, {}) is not None
-        and _spans(r, alphabet, {}) is not None
-        and q == [alphabet.base["→"], *p, *r]
-    )
+    return None not in (p, q, r) and q[0] == [alphabet.base["→"], *p[0], *r[0]]
 
 
 # --- structured proofs ---------------------------------------------------
@@ -286,7 +276,7 @@ def check_structured_proof(proof: Proof, theory: TheoryConfig | None = None) -> 
     """Validate a proof with explicit justifications (indices strictly earlier)."""
     theory = theory or default_theory()
     alphabet = DEFAULT_ALPHABET
-    axiom = _axiom_test(theory, alphabet)
+    axiom = _axioms(theory, alphabet)[0]
     imp, forall = alphabet.base["→"], alphabet.base["∀"]
     table: dict = {}
     spans = []  # (codes, ids, ends) of each earlier step, ids from one table
@@ -343,20 +333,16 @@ def check_proof(
         return False
     if not values:
         return False
-    axiom = _axiom_test(theory, alphabet)
+    axiom = _axioms(theory, alphabet)[0]
     imp, forall = alphabet.base["→"], alphabet.base["∀"]
     table: dict = {}
     seen: set[int] = set()  # ids of every earlier step
     premises: dict[int, list[int]] = {}  # conclusion id -> premise id of each earlier implication
     for value in values:
-        try:
-            codes = seq_decode(value)
-        except ZeckGodelError:
+        read = _read(value, alphabet, table)
+        if read is None:
             return False
-        spans = _spans(codes, alphabet, table)
-        if spans is None:
-            return False
-        ids, ends = spans
+        codes, ids, ends = read
         f = ids[0]
         # a repeated step is justified as its first occurrence was
         if not (
@@ -392,10 +378,10 @@ def prov_bounded(
     """
     theory = theory or default_theory()
     alphabet = alphabet or DEFAULT_ALPHABET
-    tc = as_code(target)
-    if not is_wff_code(tc, alphabet):
+    read = _read(as_code(target), alphabet, {})
+    if read is None:
         raise NotWffCodeError("not a wff code")
-    goal = tuple(seq_decode(tc))
+    goal = tuple(read[0])
 
     axiom, extra = _axioms(theory, alphabet)
     seeds = set(extra)
@@ -467,6 +453,10 @@ def godel_sentence(
     theory: TheoryConfig | None = None,
     alphabet: Alphabet | None = None,
 ) -> tuple[SeqCode, SeqCode]:
-    """Fixed point of "is not provable": returns (g_code, m)."""
+    """Fixed point of "is not provable": returns (g_code, m).
+
+    ``theory`` is accepted but not read: the sentence depends only on the
+    alphabet.
+    """
     phi = Neg(ProvP(Var(0)))
     return fixed_point(encode_syntax(phi, alphabet), var=0, alphabet=alphabet)

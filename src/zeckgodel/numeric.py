@@ -11,7 +11,7 @@ CPython's ``math.isqrt`` and ``//`` are quadratic in the operand size, while
 its multiplication is Karatsuba, so the big-integer kernels here lean on
 multiplication (Brent and Zimmermann, Modern Computer Arithmetic, 1.5-1.7):
 
-- ``_isqrt`` is Zimmermann's Karatsuba square root (SqrtRem, INRIA RR-3805)
+- ``_sqrtrem`` is Zimmermann's Karatsuba square root (SqrtRem, INRIA RR-3805)
   above SQRT_LEAF_BITS, with ``math.isqrt`` as its leaf.  Its divisions are a
   quarter of the operand's size.
 - ``lucas_ratio(n, m)`` reads n / L(m), L(m) the Lucas number, off a
@@ -143,16 +143,9 @@ def sqrt5_fixed(p: int) -> int:
     top, s = _sqrt5.get(0, (0, 2))
     if top < p:
         top = max(p, 2 * top)
-        s = _isqrt(5 << 2 * top)
+        s = _sqrtrem(5 << 2 * top)[0]
         _sqrt5[0] = (top, s)
     return s >> top - p
-
-
-def _isqrt(n: int) -> int:
-    """floor(sqrt(n)) for n >= 0: math.isqrt up to SQRT_LEAF_BITS, SqrtRem above."""
-    if n.bit_length() <= SQRT_LEAF_BITS:
-        return isqrt(n)
-    return _sqrtrem(n)[0]
 
 
 def _sqrtrem(n: int) -> tuple[int, int]:

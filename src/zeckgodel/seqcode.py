@@ -103,9 +103,12 @@ def bits_estimate(c: "SeqCode | int") -> int:
 
 
 def to_number(c: "SeqCode | int", max_index: int | None = None) -> int:
-    """Exact integer value of the code; refuses above the index threshold."""
-    if isinstance(c, int):
+    """Exact integer value of the code; refuses above the index threshold.
+
+    A natural number is its own value; any other non-code raises as in as_code."""
+    if isinstance(c, int) and c >= 0:
         return c
+    c = as_code(c)
     if c.number is not None:
         return c.number
     cap = DEFAULT_MATERIALIZE_MAX_INDEX if max_index is None else max_index

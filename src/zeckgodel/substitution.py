@@ -19,7 +19,7 @@ the other symbols are paired, and one sort merges runs that barely overlap.
 is encoded once, however many copies ψ holds.
 
 Validation happens once, at the public entry: each code a caller passes in
-is decoded and checked a single time by the span pass (``syntax._spans``),
+is decoded and checked a single time by ``syntax._read`` (the span pass),
 and the internal steps splice the symbol codes that check returned, using
 its subtree ends to copy whole a quantifier that binds the target.
 ``diag`` and ``fixed_point`` read the numeral's symbol codes off the bits of
@@ -32,15 +32,15 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError, ZeckGodelError
-from .seqcode import SeqCode, _trusted_code, as_code, bits_estimate, seq_decode, seq_encode, to_number
+from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
+from .seqcode import SeqCode, _trusted_code, as_code, bits_estimate, seq_encode, to_number
 from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
     DiagFn,
     Var,
     _numeral_codes,
-    _spans,
+    _read,
     _to_codes,
 )
 
@@ -53,14 +53,10 @@ DEFAULT_NUMERAL_BIT_LIMIT = 1 << 21
 def _validated(code: SeqCode, root: int, alphabet: Alphabet) -> tuple[list[int], list[int]]:
     """(symbol codes, subtree ends) of ``code``, decoded and span-passed once;
     raises unless it codes a formula (``root`` 1) or a term (0)."""
-    try:
-        codes = seq_decode(code)
-        spans = _spans(codes, alphabet, {}, root)
-    except ZeckGodelError:
-        spans = None
-    if spans is None:
+    read = _read(code, alphabet, {}, root)
+    if read is None:
         raise NotWffCodeError("not a wff code") if root else NotTermCodeError("not a term code")
-    return codes, spans[1]
+    return read[0], read[2]
 
 
 def _checked(formula_code, term_code, alphabet):

@@ -12,12 +12,12 @@ variable is decoded as ``code - offset``, never through text.  ``flatten``,
 ``parse`` and ``format_text`` are glyph-string wrappers over the two.
 
 The parser runs only where an AST is returned.  Everything else, the code
-predicates, substitution's entry checks and the proof checker, reads codes
-through ``_spans``: one right-to-left pass over a term's or a formula's codes
-that checks operand categories and gives each position the end of its
-subtree and an integer id, equal for two subtrees exactly when their codes
-are (hash-consing on code spans).  AST nodes compare and hash by their
-symbol codes, so ``==`` never recurses.
+predicates, substitution's entry checks and the proof checker, reads a code
+through ``_read``: one decode, then ``_spans``, one right-to-left pass over
+a term's or a formula's codes that checks operand categories and gives each
+position the end of its subtree and an integer id, equal for two subtrees
+exactly when their codes are (hash-consing on code spans).  AST nodes
+compare and hash by their symbol codes, so ``==`` never recurses.
 """
 
 from __future__ import annotations
@@ -480,50 +480,41 @@ def decode_syntax(c: "SeqCode | int", alphabet: Alphabet | None = None) -> "Term
     return _from_codes(seq_decode(c), alphabet or DEFAULT_ALPHABET)
 
 
-def _is_syntax_code(c: "SeqCode | int", alphabet: Alphabet | None, root: int) -> bool:
+def _read(c: "SeqCode | int", alphabet: Alphabet, table: dict, root: int = 1) -> tuple | None:
+    """(codes, ids, ends) of the formula (``root`` 1) or term (0) that c
+    codes, decoded and span-passed once; None if c codes neither."""
     try:
         codes = seq_decode(c)
     except ZeckGodelError:
-        return False
-    return _spans(codes, alphabet or DEFAULT_ALPHABET, {}, root) is not None
+        return None
+    spans = _spans(codes, alphabet, table, root)
+    return None if spans is None else (codes, *spans)
 
 
 def is_wff_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
     """True iff c codes a formula; decided by the span pass, with no AST built."""
-    return _is_syntax_code(c, alphabet, 1)
+    return _read(c, alphabet or DEFAULT_ALPHABET, {}) is not None
 
 
 def is_term_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
     """True iff c codes a term; decided by the span pass, with no AST built."""
-    return _is_syntax_code(c, alphabet, 0)
+    return _read(c, alphabet or DEFAULT_ALPHABET, {}, 0) is not None
 
 
 def numeral(n: int) -> Term:
-    """Closed term of value n with O(bit-length) symbols.
-
-    Doubling form: numeral(2j) = SS0 * numeral(j), numeral(2j+1) adds one S.
-    Built iteratively over the bits so huge values do not hit the recursion
-    limit.
-    """
+    """Closed term of value n with O(bit-length) symbols, in doubling form."""
     if n < 0:
         raise ValueError("numerals denote naturals")
-    if n == 0:
-        return Zero()
-    two = Succ(Succ(Zero()))
-    node: Term = Succ(Zero())
-    for bit in bin(n)[3:]:
-        node = Times(two, node)
-        if bit == "1":
-            node = Succ(node)
-    return node
+    return _from_codes(_numeral_codes(n, DEFAULT_ALPHABET), DEFAULT_ALPHABET)
 
 
 def _numeral_codes(n: int, alphabet: Alphabet) -> list[int]:
     """Prefix symbol codes of numeral(n), read straight off n's bits.
 
-    Equal to _to_codes(numeral(n), alphabet): the outermost node holds the
-    lowest bit, so each bit from the lowest up to the second-highest gives
-    ``S`` if it is 1, then ``· S S 0``, and the leading 1 ends it as ``S 0``.
+    Doubling form: numeral(2j) = SS0 * numeral(j), numeral(2j+1) adds one S.
+    The outermost node holds the lowest bit, so each bit from the lowest up
+    to the second-highest gives ``S`` if it is 1, then ``· S S 0``, and the
+    leading 1 ends it as ``S 0``.
     """
     zero, succ, times = alphabet.base["0"], alphabet.base["S"], alphabet.base["·"]
     if n == 0:

@@ -26,7 +26,7 @@ from .errors import InvalidSupportError
 from .numeric import (
     FIB_TABLE_CAP,
     GUARD_BITS,
-    _isqrt,
+    _sqrtrem,
     fib_index_bound,
     fib_table,
     lucas_ratio,
@@ -119,7 +119,7 @@ def _sigma(x: int, v: int, p: int) -> int:
     """
     t = v >> p
     if (v & (1 << p) - 1) + x > 1 << p:
-        t = _isqrt(5 * x * x)
+        t = _sqrtrem(5 * x * x)[0]
     return (t - x) >> 1
 
 

@@ -10,7 +10,10 @@ import pytest
 import zeckgodel
 from zeckgodel.cli import PARSE_LEAF_DIGITS, build_parser, main, parse_nat
 from zeckgodel.errors import ZeckGodelError
-from zeckgodel.syntax import DEFAULT_ALPHABET, Eq, Zero, encode_proof
+from zeckgodel.seqcode import seq_encode
+from zeckgodel.syntax import DEFAULT_ALPHABET, Eq, Zero, _to_codes, encode_proof, parse_text
+
+from helpers import shuffled_alphabet
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +178,20 @@ def test_compare_command(capsys, tmp_path):
     assert json.loads(out_path.read_text())["sequence_length"] == 12
     code, out, _ = run_cli(capsys, "compare", "--formula", "(= (S 0) (S 0))")
     assert json.loads(out)["sequence_length"] == 5
+
+
+def test_compare_formula_under_a_shuffled_alphabet(capsys, tmp_path):
+    alphabet = shuffled_alphabet(7)
+    apath = tmp_path / "alpha.json"
+    apath.write_text(json.dumps({"symbols": dict(alphabet.base), "offset": alphabet.offset}))
+    f = "(forall v0 (= (S v0) (+ v0 (* 0 v1))))"
+    code, out, _ = run_cli(capsys, "--alphabet", str(apath), "compare", "--formula", f)
+    assert code == 0
+    shuffled = json.loads(out)["zeck_max_index"]
+    assert shuffled == seq_encode(_to_codes(parse_text(f), alphabet)).max_index
+    _, out, _ = run_cli(capsys, "compare", "--formula", f)
+    default = json.loads(out)["zeck_max_index"]
+    assert default == seq_encode(_to_codes(parse_text(f), DEFAULT_ALPHABET)).max_index != shuffled
 
 
 # command path -> (positional names, option strings other than -h/--help);

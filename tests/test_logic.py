@@ -5,12 +5,13 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeckgodel.errors import NotWffCodeError, TheoryConfigError, ZeckGodelError
+from zeckgodel.errors import InvalidSupportError, NotWffCodeError, TheoryConfigError, ZeckGodelError
 from zeckgodel.logic import (
     SCHEMA_NAMES,
     Proof,
     ProofStep,
     TheoryConfig,
+    _axioms,
     check_mp,
     check_mp_codes,
     check_proof,
@@ -20,7 +21,6 @@ from zeckgodel.logic import (
     is_axiom,
     load_theory,
     prov_bounded,
-    _axiom_test,
 )
 from zeckgodel.seqcode import SeqCode, bits_estimate, is_code, seq_decode, seq_encode, seq_len, to_number
 from zeckgodel.substitution import diag
@@ -222,6 +222,27 @@ def test_prov_bounded_underivable(mp_theory):
 def test_prov_bounded_rejects_non_wff(mp_theory):
     with pytest.raises(NotWffCodeError):
         prov_bounded(seq_encode([9, 8]), 3, mp_theory)
+
+
+def test_prov_bounded_decodes_its_target_once(mp_theory, monkeypatch):
+    from zeckgodel import logic, syntax
+
+    decoded = []
+
+    def counting(c):
+        decoded.append(c)
+        return seq_decode(c)
+
+    monkeypatch.setattr(logic, "seq_decode", counting)
+    monkeypatch.setattr(syntax, "seq_decode", counting)
+    target = encode_syntax(B)
+    for given in (target, to_number(target)):
+        decoded.clear()
+        assert prov_bounded(given, 3, mp_theory) is not None
+        assert sum(c == target for c in decoded) == 1
+    # a negative target is refused as a code before it is read as a formula
+    with pytest.raises(InvalidSupportError):
+        prov_bounded(-1, 3, mp_theory)
 
 
 def test_prov_bounded_monotone(mp_theory):
@@ -557,7 +578,7 @@ def _schema_instance(rng):
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, shuffled_alphabet(7)], ids=["default", "offset40"])
 def test_code_matchers_match_the_ast_matchers(alphabet):
     rng = random.Random(2006)
-    tests = {name: _axiom_test(TheoryConfig(schemas=frozenset({name})), alphabet) for name in SCHEMA_NAMES}
+    tests = {name: _axioms(TheoryConfig(schemas=frozenset({name})), alphabet)[0] for name in SCHEMA_NAMES}
     symbols = list(alphabet.base.values()) + [alphabet.offset + k for k in range(4)]
     arity = lambda c: len(alphabet._heads[c][1]) if c < alphabet.offset else 0
     hits = tampered = 0
@@ -623,7 +644,7 @@ def test_predicates_are_total_on_arbitrary_values(x, y, z):
 
 
 def test_check_proof_decodes_only_the_steps_it_checks(mp_theory, monkeypatch):
-    from zeckgodel import logic
+    from zeckgodel import logic, syntax
 
     decoded = []
 
@@ -631,7 +652,9 @@ def test_check_proof_decodes_only_the_steps_it_checks(mp_theory, monkeypatch):
         decoded.append(c)
         return seq_decode(c)
 
+    # the proof list is decoded in logic, each step in syntax
     monkeypatch.setattr(logic, "seq_decode", counting)
+    monkeypatch.setattr(syntax, "seq_decode", counting)
     for j in (1, 2, 4):
         proof = [A, Imp(A, B), B, A][: j - 1] + [Neg(A)] + [A] * 5
         decoded.clear()

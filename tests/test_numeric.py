@@ -13,7 +13,6 @@ from zeckgodel.numeric import (
     GUARD_BITS,
     SQRT_LEAF_BITS,
     _fib_pair,
-    _isqrt,
     _sqrtrem,
     cantor_pair,
     cantor_unpair,
@@ -167,7 +166,6 @@ def test_zeck_length_bound_dominates_support_size():
 def _assert_root(n):
     s, r = _sqrtrem(n)
     assert s == isqrt(n) and r == n - s * s, n.bit_length()
-    assert _isqrt(n) == s
 
 
 def test_sqrtrem_matches_isqrt_on_random_operands_up_to_300kbit():

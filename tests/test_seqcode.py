@@ -162,6 +162,21 @@ def test_to_number_threshold():
     assert to_number(SeqCode((101,)), max_index=200) > 0
 
 
+def test_to_number_refuses_what_as_code_refuses(monkeypatch):
+    from zeckgodel import seqcode
+
+    for bad in (-5, 2.5, "24", None):
+        with pytest.raises(InvalidSupportError) as want:
+            as_code(bad)
+        with pytest.raises(InvalidSupportError) as got:
+            to_number(bad)
+        assert str(got.value) == str(want.value)
+    # a natural is its own value, returned without a conversion to a support
+    monkeypatch.setattr(seqcode, "z_decode", lambda n: pytest.fail("z_decode called"))
+    for n in (0, 24, 10**40, True):
+        assert to_number(n) is n
+
+
 def test_bits_estimate():
     assert bits_estimate(SeqCode(())) == 0
     c = SeqCode((7, 3))

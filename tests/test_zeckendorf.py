@@ -180,9 +180,9 @@ def test_sigma_matches_the_exact_root_near_fibonacci_and_lucas_numbers(monkeypat
 
     def counted(n):
         calls.append(n)
-        return numeric._isqrt(n)
+        return numeric._sqrtrem(n)
 
-    monkeypatch.setattr(zeckendorf, "_isqrt", counted)
+    monkeypatch.setattr(zeckendorf, "_sqrtrem", counted)
     f, g = 0, 1  # classical F(j), F(j+1)
     lucas = [2, 1]
     for j in range(1, 2_600):
