@@ -179,7 +179,10 @@ def max_fib_index_le(n: int) -> int:
         raise ZeckGodelError("no positive Fibonacci number is <= 0")
     if n <= 2:
         return n
-    if _fib_table[-1] < n and len(_fib_table) < FIB_TABLE_CAP:
+    # F_e <= phi**e and log2(phi) < 0.6943, so an n longer than this lies
+    # past the last entry the table can hold and is never looked up there
+    in_reach = n.bit_length() <= FIB_TABLE_CAP * (_LOG2_PHI_E4 + 1) // 10000 + 1
+    if in_reach and _fib_table[-1] < n and len(_fib_table) < FIB_TABLE_CAP:
         _extend_table(min(FIB_TABLE_CAP, fib_index_bound(n)))
     if n <= _fib_table[-1]:
         return bisect_right(_fib_table, n)

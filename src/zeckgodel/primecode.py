@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 
 from .errors import PrimeCodingError
-from .seqcode import seq_decode, seq_encode, to_number
-from .substitution import _splice_code
+from .seqcode import _splice_code, seq_decode, seq_encode, to_number
 
 _primes = [2, 3, 5, 7, 11, 13]
 

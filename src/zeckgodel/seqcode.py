@@ -13,6 +13,21 @@ inline ``math.isqrt`` for ordinary supports, and numeric's ``cantor_unpair``
 on its Karatsuba square root once the top index passes SQRT_LEAF_BITS, as a
 proof code's does.
 
+``_splice_code`` encodes a list with every copy of one symbol replaced by
+a block, for the substitution layer, by shifting supports.  Item a at
+position i has index e = s(s+1) + 2a + 1 with s = a + i, so moving it p
+places to the right maps e to e + p·t + p² with t = 2s + 1, which keeps a
+block's indices in order.  The block's indices E and s values S, each sorted
+(sorting by e sorts by s, so the two line up), and ONE, a 1 per lane, are
+packed into lanes of w 64-bit words wide enough that no carry crosses a
+lane, and T = 2S + ONE; each copy is then one big-integer expression,
+E + p(T + p·ONE), read back as words in ascending order.  Indices order by (s, a), so a copy
+overlaps its neighbours only by the spread of the block's s values: the
+splice appends each copy, and each other symbol's index, as a sorted run,
+and where a run starts below the last index so far it sorts only the two
+overlapping ends, out's tail above the run's first index and the run's head
+below out's last.
+
 A support passed to ``SeqCode`` is validated; the supports the library
 builds itself (``seq_encode``, ``from_number`` and the substitution splice)
 are valid by construction and go through ``_trusted_code`` instead.
@@ -20,6 +35,9 @@ are valid by construction and go through ``_trusted_code`` instead.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
 from collections.abc import Sequence
@@ -31,6 +49,8 @@ from .zeckendorf import fib_sum, is_valid_support, z_decode
 # Largest support index for which to_number will build the exact integer.
 # F_e has ~0.694*e bits, so this cap corresponds to ~23-Mbit numbers.
 DEFAULT_MATERIALIZE_MAX_INDEX = 1 << 25
+
+assert array("Q").itemsize == 8  # the packed splice reads 64-bit lanes
 
 
 @dataclass(frozen=True)
@@ -137,6 +157,51 @@ def seq_encode(items: Sequence[int]) -> SeqCode:
     indices = [(a + i) * (a + i + 1) + 2 * a + 1 for i, a in enumerate(items, start=1)]
     indices.sort(reverse=True)
     return _trusted_code(tuple(indices), 0 if not indices else None)
+
+
+def _splice_code(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
+    """Code of ``codes`` with every ``target`` replaced by ``replacement``.
+
+    Equal to seq_encode of the spliced list, without building that list.
+    """
+    k, copies, order = len(replacement), codes.count(target), sys.byteorder
+    width, block, step, one = 8, 0, 0, 0  # lane bytes; E, T and ONE packed
+    if k and copies:
+        s = [a + i for i, a in enumerate(replacement, start=1)]
+        e = sorted([x * (x + 1) + 2 * a + 1 for x, a in zip(s, replacement)])
+        s.sort()
+        last = len(codes) + copies * (k - 1) - k  # no copy starts further right
+        width = 8 * -(-(e[-1] + last * (2 * s[-1] + 1 + last)).bit_length() // 64)  # fits the largest lane value
+        block, half = (
+            int.from_bytes(array("Q", xs).tobytes(), order) if width == 8
+            else int.from_bytes(b"".join(x.to_bytes(width, order) for x in xs), order)
+            for xs in (e, s)
+        )
+        one = int.from_bytes((1).to_bytes(width, order) * k, order)
+        step = 2 * half + one  # T, the lanes t = 2s + 1
+    out, p = [], 0  # ascending; p counts the symbols emitted so far
+    for a in codes:
+        if a == target:
+            if not k:
+                continue
+            raw = (block + p * (step + p * one)).to_bytes(width * k, order)
+            run = array("Q", raw) if width == 8 else [
+                int.from_bytes(raw[j : j + width], order) for j in range(0, len(raw), width)
+            ]
+            p += k
+        else:
+            p += 1
+            run = ((a + p) * (a + p + 1) + 2 * a + 1,)
+        if out and run[0] < out[-1]:
+            # a seam: the indices out of order are out's tail above run[0]
+            # and run's head below out[-1], so only those two are sorted
+            j, m = bisect_right(out, run[0]), bisect_right(run, out[-1])
+            out[j:] = sorted([*out[j:], *run[:m]])
+            out += run[m:]
+        else:
+            out += run
+    out.reverse()
+    return _trusted_code(tuple(out), None if out else 0)
 
 
 def _positions(c: SeqCode) -> list[int] | None:

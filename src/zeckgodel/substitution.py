@@ -6,17 +6,11 @@ binders.  Both work on symbol-code lists and re-encode with renumbered
 positions, so outputs are always valid sequence codes and no step recurses
 over the (possibly enormous) term structure.
 
-A splice is encoded by shifting supports rather than by pairing every symbol
-again.  Symbol a at position i has index e = s(s+1) + 2a + 1 with s = a + i,
-so moving it p places to the right maps e to e + p·t + p² with t = 2s + 1,
-which keeps a block's indices in order.  ``_splice_code`` packs the
-replacement's indices E and t values T, each sorted (sorting by e sorts by
-s, so the two line up), and ONE, a 1 per lane, into lanes of w 64-bit words
-wide enough that no carry crosses a lane; each copy of the replacement is
-then one big-integer expression, E + p(T + p·ONE), read back as words.  Only
-the other symbols are paired, and one sort merges runs that barely overlap.
-``diag``, ``fixed_point`` and ``sub_z`` use it, so the numeral that fills ψ
-is encoded once, however many copies ψ holds.
+A splice is encoded by ``seqcode._splice_code``, which shifts supports
+rather than pairing every symbol again: each copy of the replacement is one
+big-integer expression, and only the other symbols are paired.  ``diag``,
+``fixed_point`` and ``sub_z`` use it, so the numeral that fills ψ is encoded
+once, however many copies ψ holds.
 
 Validation happens once, at the public entry: each code a caller passes in
 is decoded and checked a single time by ``syntax._read`` (the span pass),
@@ -29,11 +23,8 @@ construction, so no code the library has just built is decoded again.
 
 from __future__ import annotations
 
-import sys
-from array import array
-
 from .errors import NotTermCodeError, NotWffCodeError, NumeralTooLargeError
-from .seqcode import SeqCode, _trusted_code, as_code, bits_estimate, seq_encode, to_number
+from .seqcode import SeqCode, _splice_code, as_code, bits_estimate, seq_encode, to_number
 from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
@@ -43,8 +34,6 @@ from .syntax import (
     _read,
     _to_codes,
 )
-
-assert array("Q").itemsize == 8  # the packed splice reads 64-bit lanes
 
 # Diagonalization refuses to build numerals beyond this many bits.
 DEFAULT_NUMERAL_BIT_LIMIT = 1 << 21
@@ -63,38 +52,6 @@ def _checked(formula_code, term_code, alphabet):
     fc = as_code(formula_code)
     tc = as_code(term_code)
     return _validated(fc, 1, alphabet), _validated(tc, 0, alphabet)[0]
-
-
-def _splice_code(codes: list[int], target: int, replacement: list[int]) -> SeqCode:
-    """Code of ``codes`` with every ``target`` replaced by ``replacement``.
-
-    Equal to seq_encode of the spliced list, without building that list.
-    """
-    k, copies, order = len(replacement), codes.count(target), sys.byteorder
-    width, block, step, one = 8, 0, 0, 0  # lane bytes; E, T and ONE packed
-    if k and copies:
-        e = sorted([(a + i) * (a + i + 1) + 2 * a + 1 for i, a in enumerate(replacement, start=1)])
-        t = sorted([2 * (a + i) + 1 for i, a in enumerate(replacement, start=1)])
-        last = len(codes) + copies * (k - 1) - k  # no copy starts further right
-        width = 8 * -(-(e[-1] + last * (t[-1] + last)).bit_length() // 64)  # fits the largest lane value
-        block, step, one = (
-            int.from_bytes(array("Q", xs).tobytes(), order) if width == 8
-            else int.from_bytes(b"".join(x.to_bytes(width, order) for x in xs), order)
-            for xs in (e, t, [1] * k)
-        )
-    out, p = [], 0  # p counts the symbols emitted so far
-    for a in codes:
-        if a == target:
-            raw = (block + p * (step + p * one)).to_bytes(width * k, order)
-            out += array("Q", raw) if width == 8 else [
-                int.from_bytes(raw[j : j + width], order) for j in range(0, len(raw), width)
-            ]
-            p += k
-        else:
-            p += 1
-            out.append((a + p) * (a + p + 1) + 2 * a + 1)
-    out.sort(reverse=True)
-    return _trusted_code(tuple(out), None if out else 0)
 
 
 def _free_spliced(

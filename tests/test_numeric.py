@@ -251,13 +251,45 @@ def test_sqrt5_fixed_is_the_floor_at_every_precision():
         assert s * s <= 5 << 2 * p < (s + 1) ** 2
 
 
-def test_importing_builds_no_table_or_cache():
-    code = (
-        "import zeckgodel, zeckgodel.numeric as n; "
-        "assert n._fib_table == [1, 2], n._fib_table; "
-        "assert not n._split_fibs and not n._split_recips and not n._sqrt5"
-    )
+def _run_fresh(code):
     src = os.path.dirname(os.path.dirname(zeckgodel.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_builds_no_table_or_cache():
+    _run_fresh(
+        "import zeckgodel, zeckgodel.numeric as n; "
+        "import zeckgodel.syntax, zeckgodel.substitution, zeckgodel.logic; "
+        "import zeckgodel.primecode, zeckgodel.oracle, zeckgodel.cli as cli; "
+        "assert n._fib_table == [1, 2], n._fib_table; "
+        "assert not n._split_fibs and not n._split_recips and not n._sqrt5; "
+        "assert cli._pow10 == {}, cli._pow10"
+    )
+
+
+def test_numbers_past_the_table_leave_it_unfilled():
+    # both sums lie past F_cap, where the search walks from fast doubling
+    _run_fresh(
+        "import zeckgodel.numeric as n; from zeckgodel.oracle import oracle_solve; "
+        "assert oracle_solve(65599, 65600) == 65602; "
+        "assert n.max_fib_index_le(n.fib(2**16)) == 2**16; "
+        "assert len(n._fib_table) == 2, len(n._fib_table)"
+    )
+
+
+@pytest.mark.parametrize("table", ["empty", "full"])
+def test_max_fib_index_le_at_the_table_cap(table):
+    import zeckgodel.numeric as numeric
+
+    cap = numeric.FIB_TABLE_CAP
+    at, past = _fib_pair(cap)[1], _fib_pair(cap + 1)[1]  # F_cap, F_{cap+1}, not via the table
+    cases = [(at - 1, cap - 1), (at, cap), (at + 1, cap), (past - 1, cap), (past, cap + 1)]
+    for n, e in cases:
+        with numeric._fib_lock:
+            del numeric._fib_table[2:]
+        if table == "full":
+            numeric.fib_table(cap)
+        assert max_fib_index_le(n) == e
+    assert fib(cap) == at and fib(cap + 1) == past

@@ -394,6 +394,40 @@ def test_splice_code_edge_placements():
         assert _splice_code(codes, target, replacement).support == want.support
 
 
+def _seam_cases():
+    """(codes, target, replacement) where the runs the splice appends overlap."""
+    numeral = [9, 9, 8, 11, 9, 8, 9, 9, 8]
+    wide = list(range(1, 41))
+    random.Random(18).shuffle(wide)
+    cases = []
+    for big in (2**20, 2**70):
+        row = [16] * 4
+        # before the row, the big index must move past every copy; after
+        # it, it lands last; inside the replacement, a small symbol after
+        # the row moves back past whole copies
+        cases += [
+            ([big] + row + [7], 16, numeral),
+            ([7] + row + [big], 16, numeral),
+            ([7, big, 3] + row + [big, 0], 16, wide),
+            ([5] + row + [0, 1], 16, [1, big, 0]),
+        ]
+    for gap in (0, 1, 2):
+        sep = [5, 0][:gap]
+        cases += [
+            ([16] + sep + [16] + sep + [16], 16, numeral),
+            ([12, 16] + sep + [16] + sep + [16, 0], 16, wide),
+            ([16] + sep + [16] + sep + [16], 16, [40]),  # a one-symbol replacement
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("codes, target, replacement", _seam_cases())
+def test_splice_code_merges_overlapping_runs(codes, target, replacement):
+    got = _splice_code(codes, target, replacement).support
+    assert got == seq_encode(_spliced(codes, target, replacement)).support
+    assert all(x > y for x, y in zip(got, got[1:]))
+
+
 def _near(bits):
     return st.integers(-3, 3).map(lambda d: 2**bits + d)
 
