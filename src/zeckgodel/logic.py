@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import NotWffCodeError, TheoryConfigError, ZeckGodelError
 from .seqcode import SeqCode, as_code, seq_decode, seq_encode, to_number
-from .substitution import fixed_point
 from .syntax import (
     Alphabet,
     DEFAULT_ALPHABET,
@@ -65,8 +64,13 @@ class TheoryConfig:
                 raise TheoryConfigError(f"extra axiom is not a formula: {f!r}")
 
 
+_DEFAULT_THEORY = TheoryConfig()
+
+
 def default_theory() -> TheoryConfig:
-    return TheoryConfig()
+    """Every schema, no extra axioms, both rules: one shared instance, so the
+    axiom tables cached on it are built once per process."""
+    return _DEFAULT_THEORY
 
 
 def load_theory(source) -> TheoryConfig:
@@ -458,5 +462,7 @@ def godel_sentence(
     ``theory`` is accepted but not read: the sentence depends only on the
     alphabet.
     """
+    from .substitution import fixed_point  # only this function needs it; proof checks skip the import
+
     phi = Neg(ProvP(Var(0)))
     return fixed_point(encode_syntax(phi, alphabet), var=0, alphabet=alphabet)

@@ -14,13 +14,21 @@ multiplication (Brent and Zimmermann, Modern Computer Arithmetic, 1.5-1.7):
 - ``_sqrtrem`` is Zimmermann's Karatsuba square root (SqrtRem, INRIA RR-3805)
   above SQRT_LEAF_BITS, with ``math.isqrt`` as its leaf.  Its divisions are a
   quarter of the operand's size.
-- ``lucas_ratio(n, m)`` reads n / L(m), L(m) the Lucas number, off a
-  reciprocal cached per power of two m, with one multiplication.
+- ``split_fibs(m)`` is (F_m, F_{m-1}, F_{m-2}) at a power of two m, doubled
+  up from the largest power already cached.
+- ``lucas_ratio(n, m, top)`` reads n / L(m), L(m) the Lucas number, off a
+  reciprocal cached per power of two m, with one multiplication.  The
+  reciprocal is sized from the bound a decode carries, n < F_{top+1}, not
+  from n itself.
 - ``sqrt5_fixed(p)`` is floor(sqrt(5) * 2**p), truncated from one cached
   value.
 
-Each cache is built on first use, and rebuilt more precise only when a call
-needs more precision than it holds; importing builds nothing.
+The memo table [F_1, F_2, ...] is the greedy leaf of the conversions in
+zeckendorf, which split off whatever it lacks.  A conversion grows it toward
+its own top index by at most one doubling, and never past FIB_TABLE_CAP, so a
+one-shot conversion fills little more than it reads.  Each cache is built on
+first use, and rebuilt more precise only when a call needs more precision
+than it holds; importing builds nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ from .errors import ZeckGodelError
 
 # Dense memo table is only grown up to this index; beyond it one-off values
 # come from fast doubling (a full table to 2**16 would cost ~190 MB), and the
-# conversions in zeckendorf use the table as the leaf of a divide and conquer.
+# conversions in zeckendorf use the table as it stands as the leaf of a
+# divide and conquer.
 FIB_TABLE_CAP = 1 << 14
 
 # 10^4-scaled lower bound for log2(phi) = 0.69424...; dividing bit counts by
@@ -99,18 +108,43 @@ def fib_table(e: int) -> list[int]:
     return _fib_table
 
 
+def _leaf_table(top: int) -> list[int]:
+    """The shared memo list, grown toward F_top for a conversion with top index top.
+
+    A shorter table grows by at most one doubling, to 2**10 at first, and
+    never past min(top, FIB_TABLE_CAP), so repeated conversions leave it at
+    min(the largest top seen, FIB_TABLE_CAP).
+    """
+    size = len(_fib_table)
+    if size < top and size < FIB_TABLE_CAP:
+        _extend_table(min(top, FIB_TABLE_CAP, max(1 << 10, 2 * size)))
+    return _fib_table
+
+
 def split_fibs(m: int) -> tuple[int, int, int]:
-    """(F_m, F_{m-1}, F_{m-2}) for a power of two m >= 2, with F_0 = 1; cached."""
+    """(F_m, F_{m-1}, F_{m-2}) for a power of two m >= 2, with F_0 = 1; cached.
+
+    A missing m doubles up from the largest cached power of two below it,
+    caching each power on the way, so the powers up to m cost one doubling
+    each whatever order they are asked in.
+    """
     fibs = _split_fibs.get(m)
     if fibs is None:
         if m < 2 or m & (m - 1):
             raise ZeckGodelError(f"split point must be a power of two >= 2, got {m}")
-        a, b = _fib_pair(m)  # classical (F(m), F(m+1)) == shifted (F_{m-1}, F_m)
-        fibs = _split_fibs.setdefault(m, (b, a, b - a))
+        j = m >> 1
+        while j > 1 and j not in _split_fibs:
+            j >>= 1
+        # classical (F(j), F(j+1)) == shifted (F_{j-1}, F_j); F(1) = F(2) = 1
+        b, a, _ = _split_fibs.get(j, (1, 1, 0))
+        while j < m:
+            a, b = a * (2 * b - a), a * a + b * b
+            j <<= 1
+            fibs = _split_fibs.setdefault(j, (b, a, b - a))
     return fibs
 
 
-def lucas_ratio(n: int, m: int) -> tuple[int, int]:
+def lucas_ratio(n: int, m: int, top: int = 0) -> tuple[int, int]:
     """(v, w) with n/L(m) - 2**-GUARD_BITS < v / 2**w <= n/L(m).
 
     L(m) = F_m + F_{m-2} is the Lucas number, m a power of two >= 2, and
@@ -119,8 +153,10 @@ def lucas_ratio(n: int, m: int) -> tuple[int, int]:
     2**(-GUARD_BITS-1)), times a reciprocal floor(2**q / L(m)) truncated to
     t = bits(n) + GUARD_BITS + 1 bits past the point (an error under
     n / 2**t < 2**(-GUARD_BITS-1)).  The reciprocal is cached per m and
-    rebuilt only when a larger n needs more than its q, with at least twice
-    the quotient bits, so a small quotient never pays for a large one.
+    built for every n < F_{top+1}, the bound a decode carries, so calls
+    at m under the same bound share one division.  A larger n rebuilds
+    it with at least twice the quotient bits, so a small quotient never
+    pays for a large one.
     """
     t = n.bit_length() + GUARD_BITS + 1
     recip = _split_recips.get(m)
@@ -128,7 +164,10 @@ def lucas_ratio(n: int, m: int) -> tuple[int, int]:
         fm, _, fm2 = split_fibs(m)
         lucas = fm + fm2
         bits = lucas.bit_length()
-        q = t if recip is None else max(t, 2 * recip[1] - bits)
+        # F_{top+1} <= phi**(top+1), and log2(phi) < 0.6943
+        q = max(t, (top + 1) * (_LOG2_PHI_E4 + 1) // 10000 + GUARD_BITS + 2)
+        if recip is not None:
+            q = max(q, 2 * recip[1] - bits)
         recip = _split_recips[m] = (max(0, bits - GUARD_BITS - 2), q, (1 << q) // lucas)
     s, q, r = recip
     return (n >> s) * (r >> q - t), t - s

@@ -4,17 +4,21 @@ A support is a strictly decreasing tuple of Fibonacci indices with pairwise
 gap >= 2; the empty tuple stands for 0.  Every natural has exactly one such
 support.
 
-Both directions use the memo table in numeric for top indices up to
-FIB_TABLE_CAP and divide and conquer above it, splitting at powers of two m
-and joining the halves with F_{e+m} = F_e*F_m + F_{e-1}*F_{m-1} (F_0 = 1), in
-the manner of subquadratic radix conversion (Brent and Zimmermann, Modern
-Computer Arithmetic, 1.7).  All arithmetic is exact integer arithmetic.
+Both directions read the memo table in numeric greedily for top indices up
+to its length as it stands, and divide and conquer above that, splitting at
+powers of two m and joining the halves with
+F_{e+m} = F_e*F_m + F_{e-1}*F_{m-1} (F_0 = 1), in the manner of subquadratic
+radix conversion (Brent and Zimmermann, Modern Computer Arithmetic, 1.7).
+Each conversion first grows the table toward its top index by at most one
+doubling (numeric._leaf_table), so a cold process fills about what it reads.
+All arithmetic is exact integer arithmetic.
 
 A decode split costs four multiplications and no big division or square
-root: the high part's value comes from a cached reciprocal of the Lucas
-number L(k) (numeric.lucas_ratio), and sigma(a) = floor((a+1)/phi) from a
-fixed-point sqrt(5) truncated to a's size (numeric.sqrt5_fixed), with an
-exact square root only when the product lies too near an integer to round.
+root: the high part's value comes from a reciprocal of the Lucas number L(k)
+cached per level and sized from the decode's bound n < F_{hi+1}
+(numeric.lucas_ratio), and sigma(a) = floor((a+1)/phi) from a fixed-point
+sqrt(5) truncated to a's size (numeric.sqrt5_fixed), with an exact square
+root only when the product lies too near an integer to round.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from collections.abc import Iterable, Sequence
 
 from .errors import InvalidSupportError
 from .numeric import (
-    FIB_TABLE_CAP,
     GUARD_BITS,
+    _leaf_table,
     _sqrtrem,
     fib_index_bound,
-    fib_table,
     lucas_ratio,
     split_fibs,
     sqrt5_fixed,
@@ -57,32 +60,31 @@ def z_encode(support: Iterable[int]) -> int:
 
 def fib_sum(indices: Sequence[int]) -> int:
     """Sum of F_e over strictly decreasing indices >= 1 (not re-validated)."""
+    if not indices:
+        return 0
+    table = _leaf_table(indices[0])
     total = 0
-    while indices and indices[0] > FIB_TABLE_CAP:
+    while indices and indices[0] > len(table):
         m, high, indices = _split(indices)
         fm, fm1, _ = split_fibs(m)
-        a, b = _fib_sums(high)
+        a, b = _fib_sums(high, table)
         total += fm * a + fm1 * b
-    if indices:
-        table = fib_table(indices[0])
-        total += sum(table[e - 1] for e in indices)
-    return total
+    return total + sum(table[e - 1] for e in indices)
 
 
-def _fib_sums(indices: Sequence[int]) -> tuple[int, int]:
+def _fib_sums(indices: Sequence[int], table: list[int]) -> tuple[int, int]:
     """(sum of F_e, sum of F_{e-1}) over non-empty decreasing indices >= 1."""
-    if indices[0] <= FIB_TABLE_CAP:
-        table = fib_table(indices[0])
+    if indices[0] <= len(table):
         return (
             sum(table[e - 1] for e in indices),
             sum(table[e - 2] if e > 1 else 1 for e in indices),
         )
     m, high, low = _split(indices)
     fm, fm1, fm2 = split_fibs(m)
-    a, b = _fib_sums(high)
+    a, b = _fib_sums(high, table)
     total, shifted = fm * a + fm1 * b, fm1 * a + fm2 * b
     if low:
-        c, d = _fib_sums(low)
+        c, d = _fib_sums(low, table)
         total, shifted = total + c, shifted + d
     return total, shifted
 
@@ -105,7 +107,8 @@ def z_decode(n: int) -> tuple[int, ...]:
         raise InvalidSupportError("cannot decode a negative number")
     out: list[int] = []
     if n:
-        _decode_into(n, fib_index_bound(n), 0, out)
+        top = fib_index_bound(n)
+        _decode_into(n, top, 0, out, _leaf_table(top))
     return tuple(out)
 
 
@@ -123,12 +126,11 @@ def _sigma(x: int, v: int, p: int) -> int:
     return (t - x) >> 1
 
 
-def _decode_into(n: int, hi: int, shift: int, out: list[int]) -> None:
+def _decode_into(n: int, hi: int, shift: int, out: list[int], table: list[int]) -> None:
     """Append shift + e for each e in n's support, decreasing; 0 < n < F_{hi+1}."""
-    if hi <= FIB_TABLE_CAP:
+    if hi <= len(table):
         # greedy: after picking F_e the remainder is < F_{e-1}, so no two
         # picked indices are consecutive
-        table = fib_table(hi)
         while n:
             e = bisect_right(table, n)
             out.append(e + shift)
@@ -147,7 +149,7 @@ def _decode_into(n: int, hi: int, shift: int, out: list[int]) -> None:
         # rest/L(k) < phi^2/sqrt(5).  That lies in (-0.171, 1.448), so with
         # the ratio's error below 2**-GUARD_BITS, n/L(k) + 3/8 rounds down to
         # a or a + 1.
-        v, w = lucas_ratio(n, k)
+        v, w = lucas_ratio(n, k, hi)
         a = (v + (3 << w - 3)) >> w
         x = a + 1
         p = x.bit_length() + GUARD_BITS
@@ -160,6 +162,6 @@ def _decode_into(n: int, hi: int, shift: int, out: list[int]) -> None:
             high -= fk if _sigma(a, xs - s5, p) == sigma else fk + fk1
             a -= 1
     if a:
-        _decode_into(a, hi - k, shift + k, out)
+        _decode_into(a, hi - k, shift + k, out, table)
     if n > high:
-        _decode_into(n - high, k, shift, out)
+        _decode_into(n - high, k, shift, out, table)

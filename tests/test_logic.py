@@ -219,6 +219,24 @@ def test_prov_bounded_underivable(mp_theory):
     assert prov_bounded(encode_syntax(Neg(A)), 5, mp_theory) is None
 
 
+def test_default_theory_is_shared_and_builds_its_axiom_tables_once(monkeypatch):
+    from zeckgodel import logic
+
+    assert default_theory() is default_theory()
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(logic, "_TEMPLATES", Counting(logic._TEMPLATES))
+    monkeypatch.delitem(default_theory().__dict__, "_axioms", raising=False)
+    proof = encode_proof([Eq(Zero(), Zero())])
+    assert check_proof(proof) and check_proof(proof)
+    assert sorted(reads) == sorted(name for name in default_theory().schemas if name in logic._TEMPLATES)
+
+
 def test_prov_bounded_rejects_non_wff(mp_theory):
     with pytest.raises(NotWffCodeError):
         prov_bounded(seq_encode([9, 8]), 3, mp_theory)

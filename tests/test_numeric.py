@@ -251,6 +251,18 @@ def test_sqrt5_fixed_is_the_floor_at_every_precision():
         assert s * s <= 5 << 2 * p < (s + 1) ** 2
 
 
+def test_split_fibs_match_fast_doubling_asked_in_any_order(monkeypatch):
+    import zeckgodel.numeric as numeric
+
+    monkeypatch.setattr(numeric, "_split_fibs", {})
+    powers = [1 << j for j in range(1, 18)]
+    random.Random(2).shuffle(powers)
+    for m in powers:
+        a, b = _fib_pair(m)  # classical (F(m), F(m+1)) == shifted (F_{m-1}, F_m)
+        assert split_fibs(m) == (b, a, b - a), m
+    assert sorted(numeric._split_fibs) == sorted(powers)
+
+
 def _run_fresh(code):
     src = os.path.dirname(os.path.dirname(zeckgodel.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -266,6 +278,22 @@ def test_importing_builds_no_table_or_cache():
         "assert n._fib_table == [1, 2], n._fib_table; "
         "assert not n._split_fibs and not n._split_recips and not n._sqrt5; "
         "assert cli._pow10 == {}, cli._pow10"
+    )
+
+
+def test_importing_logic_leaves_substitution_unloaded():
+    _run_fresh("import sys, zeckgodel.logic; assert 'zeckgodel.substitution' not in sys.modules")
+
+
+def test_a_one_shot_proof_sized_decode_fills_the_table_only_in_part():
+    # a 40-bit (= n n) has a top index past 2^17; encoding and decoding it
+    # once grows the table by one doubling each
+    _run_fresh(
+        "import zeckgodel.numeric as n; from zeckgodel.seqcode import to_number; "
+        "from zeckgodel.syntax import Eq, encode_syntax, numeral; from zeckgodel.zeckendorf import z_decode; "
+        "c = encode_syntax(Eq(numeral(2**40 - 77), numeral(2**40 - 77))); v = to_number(c); "
+        "assert c.support[0] > 2**17 and z_decode(v) == c.support; "
+        "assert len(n._fib_table) < n.FIB_TABLE_CAP, len(n._fib_table)"
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from itertools import combinations
@@ -241,3 +242,87 @@ def test_z_decode_at_the_edges_of_the_quotient_estimate():
             support = high + low
             n = z_encode(support)
             assert list(z_decode(n)) == greedy_support(n) == support
+
+
+# --- the table as a conversion finds it: grown by need, split past its end --
+
+def _table_of(size):
+    """Leave the shared Fibonacci table holding exactly `size` entries."""
+    numeric.fib_table(size)
+    with numeric._fib_lock:
+        del numeric._fib_table[size:]
+
+
+# the table a conversion may start from: bare, one first doubling, a length
+# that is no power of two, full
+_TABLE_SIZES = [2, 1 << 10, 1500, numeric.FIB_TABLE_CAP]
+_greedy = functools.lru_cache(maxsize=None)(greedy_support)
+
+
+@pytest.mark.parametrize("size", _TABLE_SIZES)
+def test_conversions_match_greedy_from_any_table_length(size):
+    # F_e and F_{e+1} at each power of two e, +-1: the leaf's edge lies at
+    # one of them for every table length a conversion can grow to
+    for j in range(1, 18):
+        for e in (1 << j, (1 << j) + 1):
+            for n in (fib(e) - 1, fib(e) + 1):
+                support = _greedy(n)
+                _table_of(size)
+                assert list(z_decode(n)) == support, (size, e)
+                _table_of(size)
+                assert z_encode(support) == n, (size, e)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(_TABLE_SIZES), st.integers(1, 100_000).flatmap(lambda b: st.integers(0, (1 << b) - 1)))
+def test_conversions_match_greedy_from_any_table_length_on_random_values(size, n):
+    support = greedy_support(n)
+    _table_of(size)
+    assert list(z_decode(n)) == support
+    _table_of(size)
+    assert z_encode(support) == n
+
+
+def test_the_table_grows_to_the_largest_top_seen():
+    cap = numeric.FIB_TABLE_CAP
+    _table_of(2)
+    z_encode([700])
+    assert len(numeric._fib_table) == 700  # a top under 2^10 is filled at once
+    _table_of(2)
+    z_encode([9_000])
+    assert len(numeric._fib_table) == 1 << 10  # a larger one fills 2^10
+    z_decode(numeric._fib_pair(5_000)[1])  # F_5000, not read off the table
+    assert len(numeric._fib_table) == 1 << 11  # then one doubling a conversion
+    z_encode([2_000, 5])
+    assert len(numeric._fib_table) == 1 << 11  # and none for a top inside it
+    rng = random.Random(20)
+    for tops in ((700, 12_000, 5_000), (3_000, 40_000, 9_000)):  # largest top inside the cap, past it
+        _table_of(2)
+        supports = [_random_support(rng, top) for top in tops]
+        seen = 0
+        for _ in range(6):
+            for support in supports:
+                n = z_encode(support)
+                assert z_decode(n) == tuple(support)
+                seen = max(seen, numeric.fib_index_bound(n))
+        assert len(numeric._fib_table) == min(seen, cap)
+
+
+def test_a_cold_decode_builds_each_split_reciprocal_once(monkeypatch):
+    builds = Counter()
+
+    class Counting(dict):
+        def __setitem__(self, m, value):
+            builds[m] += 1
+            super().__setitem__(m, value)
+
+    # a top index of 2^17 with a random rest: each level below the top split
+    # reads a high part and then a low part, often the longer of the two
+    k = 1 << 17
+    rng = random.Random(1)
+    for _ in range(3):
+        monkeypatch.setattr(numeric, "_split_recips", Counting())
+        builds.clear()
+        n = fib(k) + rng.getrandbits(fib(k - 1).bit_length() - 1)
+        assert z_decode(n)[0] == k
+        assert builds and set(builds.values()) == {1}, builds
