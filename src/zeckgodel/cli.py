@@ -383,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # the threshold already bounds print sizes
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)  # the threshold already bounds print sizes; restored on return
     try:
         # a config path becomes its object; without one, each library entry applies its default
         if args.alphabet:
@@ -401,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
             err["position"] = position
         print(json.dumps(err), file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     return 0
 
 

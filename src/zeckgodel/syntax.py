@@ -6,18 +6,18 @@ parentheses in the coded alphabet.  Symbol numbers below the offset are base
 symbols; v_i gets code i + offset.
 
 Encoding and decoding run on symbol codes: one walker (``_to_codes``) and one
-frame-machine parser (``_from_codes``), both iterative, since numerals for
-multi-thousand-bit values nest far deeper than any recursion limit.  A
-variable is decoded as ``code - offset``, never through text.  ``flatten``,
-``parse`` and ``format_text`` are glyph-string wrappers over the two.
+parser (``_from_codes``), both iterative, since numerals for multi-thousand-bit
+values nest far deeper than any recursion limit.  That parser reads codes,
+glyph lists (``parse``) and text (``parse_text``), the last two through a
+name-to-code table; a variable code is read as ``code - offset``, never as text.
 
 The parser runs only where an AST is returned.  Everything else, the code
 predicates, substitution's entry checks and the proof checker, reads a code
 through ``_read``: one decode, then ``_spans``, one right-to-left pass over
 a term's or a formula's codes that checks operand categories and gives each
 position the end of its subtree and an integer id, equal for two subtrees
-exactly when their codes are (hash-consing on code spans).  AST nodes
-compare and hash by their symbol codes, so ``==`` never recurses.
+exactly when their codes are (hash-consing on code spans).  AST nodes compare,
+hash and print through their symbol codes, so none of the three recurses.
 """
 
 from __future__ import annotations
@@ -53,93 +53,103 @@ def _node_hash(x) -> int:
     return hash(tuple(_to_codes(x, DEFAULT_ALPHABET)))
 
 
-# The node classes are declared eq=False and inherit these: a generated
-# __eq__ recurses once per level, and a numeral nests one level per bit.
+def _node_repr(x) -> str:
+    """The parse_text call that rebuilds the node, e.g. ``parse_text('(= 0 0)')``."""
+    try:
+        return f"parse_text({format_text(x)!r})"
+    except (TypeError, ValueError, ZeckGodelError):  # a bad field, or an index past the digit limit
+        return object.__repr__(x)
+
+
+# The node classes are declared eq=False and repr=False and inherit these: a
+# generated method recurses once per level, and a numeral nests one level per bit.
 class Term:
     __slots__ = ()
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
 class Formula:
     __slots__ = ()
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Succ(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Plus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Times(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DiagFn(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ProvP(Formula):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Neg(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Forall(Formula):
     var: int
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Exists(Formula):
     var: int
     body: Formula
@@ -147,22 +157,22 @@ class Exists(Formula):
 
 # --- Alphabet -----------------------------------------------------------
 
-# head glyph -> (constructor, operand slots); t = term, f = formula,
-# v = bound variable
-_GRAMMAR: dict[str, tuple[type, tuple[str, ...]]] = {
-    "¬": (Neg, ("f",)),
-    "→": (Imp, ("f", "f")),
-    "∧": (And, ("f", "f")),
-    "∨": (Or, ("f", "f")),
-    "∀": (Forall, ("v", "f")),
-    "∃": (Exists, ("v", "f")),
-    "=": (Eq, ("t", "t")),
-    "0": (Zero, ()),
-    "S": (Succ, ("t",)),
-    "+": (Plus, ("t", "t")),
-    "·": (Times, ("t", "t")),
-    "diagfn": (DiagFn, ("t",)),
-    "Prov": (ProvP, ("t",)),
+# head glyph -> (text name, constructor, operand slots); t = term,
+# f = formula, v = bound variable
+_GRAMMAR: dict[str, tuple[str, type, tuple[str, ...]]] = {
+    "¬": ("not", Neg, ("f",)),
+    "→": ("imp", Imp, ("f", "f")),
+    "∧": ("and", And, ("f", "f")),
+    "∨": ("or", Or, ("f", "f")),
+    "∀": ("forall", Forall, ("v", "f")),
+    "∃": ("exists", Exists, ("v", "f")),
+    "=": ("=", Eq, ("t", "t")),
+    "0": ("0", Zero, ()),
+    "S": ("S", Succ, ("t",)),
+    "+": ("+", Plus, ("t", "t")),
+    "·": ("*", Times, ("t", "t")),
+    "diagfn": ("diagfn", DiagFn, ("t",)),
+    "Prov": ("Prov", ProvP, ("t",)),
 }
 _BASE_GLYPHS = tuple(_GRAMMAR)
 _VAR_RE = re.compile(r"^v(\d+)$")
@@ -199,7 +209,7 @@ class Alphabet:
         # pass's table, slots and category as id parities (_SLOT_PARITY)
         sig = {}
         for glyph, code in self.base.items():
-            ctor, slots = _GRAMMAR[glyph]
+            _, ctor, slots = _GRAMMAR[glyph]
             category = "t" if issubclass(ctor, Term) else "f"
             heads[code] = (ctor, slots, category)
             emit[ctor] = (code, _BINDER if slots[:1] == ("v",) else len(slots))
@@ -446,26 +456,35 @@ def flatten(node: "Term | Formula") -> list[str]:
 
 def parse(symbols: Sequence[str], expect: str | None = None) -> "Term | Formula":
     """Inverse of flatten.  ``expect`` may pin the category to formula/term."""
+    return _parse_names(symbols, DEFAULT_ALPHABET.base, expect)
+
+
+def _parse_names(names: Sequence[str], table: Mapping[str, int], expect: str | None) -> "Term | Formula":
+    """The AST that a list of names spells, built by _from_codes: ``table`` maps
+    base names (glyphs or text names) to codes, and ``v<digits>`` is a variable."""
     base, offset = DEFAULT_ALPHABET.base, DEFAULT_ALPHABET.offset
     codes: list[int] = []
-    for tok in symbols:  # up to the first unknown glyph
+    for tok in names:  # up to the first unknown name
         m = _VAR_RE.match(tok)
         if m:
-            codes.append(int(m.group(1)) + offset)
-        elif tok in base:
-            codes.append(base[tok])
+            try:
+                codes.append(int(m.group(1)) + offset)
+            except ValueError:  # more digits than the int/str limit allows
+                raise ParseError("variable index too long", position=len(codes)) from None
+        elif tok in table:
+            codes.append(table[tok])
         else:
             break
     u = len(codes)
     try:
         node = _from_codes(codes, DEFAULT_ALPHABET, expect)
     except ParseError as exc:
-        if u == len(symbols) or exc.position < u:
+        if u == len(names) or exc.position < u:
             raise
-        # the parser reached the unknown glyph and wanted a symbol there
-        wanted = ", expected a variable" if u and symbols[u - 1] in ("∀", "∃") else ""
-        raise ParseError(f"unexpected symbol {symbols[u]!r}{wanted}", position=u) from None
-    if u < len(symbols):
+        # the parser reached the unknown name and wanted a symbol there
+        wanted = ", expected a variable" if u and codes[u - 1] in (base["∀"], base["∃"]) else ""
+        raise ParseError(f"unexpected symbol {names[u]!r}{wanted}", position=u) from None
+    if u < len(names):
         raise ParseError("trailing symbols", position=u)
     return node
 
@@ -552,38 +571,22 @@ def decode_proof(c: "SeqCode | int", alphabet: Alphabet | None = None) -> list[F
 
 # --- human-readable prefix text form ------------------------------------
 
-_TEXT_OF_GLYPH = {
-    "¬": "not",
-    "→": "imp",
-    "∧": "and",
-    "∨": "or",
-    "∀": "forall",
-    "∃": "exists",
-    "=": "=",
-    "0": "0",
-    "S": "S",
-    "+": "+",
-    "·": "*",
-    "diagfn": "diagfn",
-    "Prov": "Prov",
-}
-_GLYPH_OF_TEXT = {t: g for g, t in _TEXT_OF_GLYPH.items()}
+_CODE_OF_TEXT = {_GRAMMAR[g][0]: c for g, c in DEFAULT_ALPHABET.base.items()}
 
 
-def format_text(node: "Term | Formula") -> str:
-    """Render as parenthesized prefix text, e.g. ``(forall v0 (= v0 v0))``."""
-    heads, by_code, offset = DEFAULT_ALPHABET._heads, DEFAULT_ALPHABET._by_code, DEFAULT_ALPHABET.offset
+def _text_tokens(node: "Term | Formula") -> list[str]:
+    """format_text's tokens: a head with operands opens a parenthesis, closed after its last one."""
+    by_code, offset = DEFAULT_ALPHABET._by_code, DEFAULT_ALPHABET.offset
     tokens: list[str] = []
     owed: list[int] = []  # operands still to come in each open parenthesis
     for c in _to_codes(node, DEFAULT_ALPHABET):
         if c >= offset:
             tokens.append(f"v{c - offset}")
         else:
-            name = _TEXT_OF_GLYPH[by_code[c]]
-            arity = len(heads[c][1])
-            if arity:
+            name, _, slots = _GRAMMAR[by_code[c]]
+            if slots:
                 tokens += ["(", name]
-                owed.append(arity)
+                owed.append(len(slots))
                 continue
             tokens.append(name)
         while owed:
@@ -592,83 +595,35 @@ def format_text(node: "Term | Formula") -> str:
                 break
             owed.pop()
             tokens.append(")")
-    buf: list[str] = []
-    for t in tokens:
-        if buf and t != ")" and buf[-1] != "(":
-            buf.append(" ")
-        buf.append(t)
-    return "".join(buf)
+    return tokens
+
+
+def format_text(node: "Term | Formula") -> str:
+    """Render as parenthesized prefix text, e.g. ``(forall v0 (= v0 v0))``."""
+    return " ".join(_text_tokens(node)).replace("( ", "(").replace(" )", ")")
 
 
 def parse_text(text: str, expect: str | None = None) -> "Term | Formula":
-    """Read the parenthesized prefix form back into an AST."""
+    """Read the parenthesized prefix form back into an AST.
+
+    Fixed arities let the names alone fix the tree, so they go through parse's
+    reader; the parentheses must then stand where format_text writes them.
+    """
+    if not isinstance(text, str):
+        raise ParseError("text must be a string", position=0)
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    frames: list[list] = []  # [constructor, slots, children]
-    root = None
-    i, n = 0, len(tokens)
-
-    def deliver(node):
-        nonlocal root
-        if frames:
-            frames[-1][2].append(node)
-        else:
-            root = node
-
-    while i < n:
-        if root is not None:
-            raise ParseError("trailing symbols", position=i)
-        tok = tokens[i]
-        if frames:
-            f = frames[-1]
-            want = f[1][len(f[2])] if len(f[2]) < len(f[1]) else ")"
-        else:
-            want = {"formula": "f", "term": "t"}.get(expect, "a")
-        if tok == ")":
-            if not frames:
-                raise ParseError("unexpected ')'", position=i)
-            if want != ")":
-                raise ParseError("missing operand before ')'", position=i)
-            f = frames.pop()
-            deliver(f[0](*f[2]))
-            i += 1
-            continue
-        if want == ")":
-            raise ParseError(f"unexpected {tok!r}, expected ')'", position=i)
-        if want == "v":
-            m = _VAR_RE.match(tok)
-            if m is None:
-                raise ParseError(f"unexpected symbol {tok!r}, expected a variable", position=i)
-            frames[-1][2].append(int(m.group(1)))
-            i += 1
-            continue
-        if tok == "(":
-            if i + 1 >= n:
-                raise ParseError("truncated input", position=i + 1)
-            ctor, slots = _GRAMMAR.get(_GLYPH_OF_TEXT.get(tokens[i + 1]), (None, ()))
-            if not slots:
-                raise ParseError(f"unexpected symbol {tokens[i + 1]!r}", position=i + 1)
-            if issubclass(ctor, Term) and want == "f":
-                raise ParseError(f"unexpected symbol {tokens[i + 1]!r}, expected a formula", position=i + 1)
-            if issubclass(ctor, Formula) and want == "t":
-                raise ParseError(f"unexpected symbol {tokens[i + 1]!r}, expected a term", position=i + 1)
-            frames.append([ctor, slots, []])
-            i += 2
-            continue
-        m = _VAR_RE.match(tok)
-        if m is not None:
-            if want == "f":
-                raise ParseError(f"unexpected symbol {tok!r}, expected a formula", position=i)
-            deliver(Var(int(m.group(1))))
-            i += 1
-            continue
-        if tok == "0":
-            if want == "f":
-                raise ParseError(f"unexpected symbol {tok!r}, expected a formula", position=i)
-            deliver(Zero())
-            i += 1
-            continue
-        raise ParseError(f"unexpected symbol {tok!r}", position=i)
-
-    if frames or root is None:
-        raise ParseError("truncated input", position=n)
-    return root
+    at = [i for i, tok in enumerate(tokens) if tok not in ("(", ")")]
+    try:
+        node = _parse_names([tokens[i] for i in at], _CODE_OF_TEXT, expect)
+    except ParseError as exc:
+        p = exc.position
+        message = str(exc).removesuffix(f" at position {p}")
+        raise ParseError(message, position=at[p] if p < len(at) else len(tokens)) from None
+    written = _text_tokens(node)
+    for i, (tok, want) in enumerate(zip(tokens, written)):
+        if tok != want and (tok in ("(", ")") or want in ("(", ")")):
+            raise ParseError(f"unexpected {tok!r}, expected {want!r}", position=i)
+    if len(tokens) != len(written):
+        i = min(len(tokens), len(written))
+        raise ParseError("truncated input" if i == len(tokens) else "trailing symbols", position=i)
+    return node

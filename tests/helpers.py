@@ -8,8 +8,11 @@ decomposition over an iterated table.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import fields
 from math import isqrt
 
+from zeckgodel.errors import ParseError
 from zeckgodel.syntax import (
     DEFAULT_ALPHABET,
     Alphabet,
@@ -184,3 +187,111 @@ def shuffled_alphabet(seed: int) -> Alphabet:
     glyphs = list(DEFAULT_ALPHABET.base)
     random.Random(seed).shuffle(glyphs)
     return Alphabet(base={g: k for k, g in enumerate(glyphs, start=3)}, offset=40)
+
+
+# text name -> (constructor, operand slots); t = term, f = formula, v = variable
+_TEXT_GRAMMAR = {
+    "not": (Neg, ("f",)),
+    "imp": (Imp, ("f", "f")),
+    "and": (And, ("f", "f")),
+    "or": (Or, ("f", "f")),
+    "forall": (Forall, ("v", "f")),
+    "exists": (Exists, ("v", "f")),
+    "=": (Eq, ("t", "t")),
+    "0": (Zero, ()),
+    "S": (Succ, ("t",)),
+    "+": (Plus, ("t", "t")),
+    "*": (Times, ("t", "t")),
+    "diagfn": (DiagFn, ("t",)),
+    "Prov": (ProvP, ("t",)),
+}
+_TEXT_NAME = {ctor: name for name, (ctor, _) in _TEXT_GRAMMAR.items()}
+_TEXT_VAR_RE = re.compile(r"^v(\d+)$")
+
+
+def format_text_reference(node) -> str:
+    """Parenthesized prefix text by plain recursion over the dataclass fields."""
+    if isinstance(node, Var):
+        return f"v{node.index}"
+    if isinstance(node, Zero):
+        return "0"
+    parts = [_TEXT_NAME[type(node)]]
+    for f in fields(node):
+        child = getattr(node, f.name)
+        parts.append(f"v{child}" if isinstance(child, int) else format_text_reference(child))
+    return "(" + " ".join(parts) + ")"
+
+
+def parse_text_reference(text: str, expect: str | None = None):
+    """A frame machine over parenthesized prefix text: the reader the library
+    used before its text went through the code parser, kept as an oracle."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    frames: list[list] = []  # [constructor, slots, children]
+    root = None
+    i, n = 0, len(tokens)
+
+    def deliver(node):
+        nonlocal root
+        if frames:
+            frames[-1][2].append(node)
+        else:
+            root = node
+
+    while i < n:
+        if root is not None:
+            raise ParseError("trailing symbols", position=i)
+        tok = tokens[i]
+        if frames:
+            f = frames[-1]
+            want = f[1][len(f[2])] if len(f[2]) < len(f[1]) else ")"
+        else:
+            want = {"formula": "f", "term": "t"}.get(expect, "a")
+        if tok == ")":
+            if not frames:
+                raise ParseError("unexpected ')'", position=i)
+            if want != ")":
+                raise ParseError("missing operand before ')'", position=i)
+            f = frames.pop()
+            deliver(f[0](*f[2]))
+            i += 1
+            continue
+        if want == ")":
+            raise ParseError(f"unexpected {tok!r}, expected ')'", position=i)
+        if want == "v":
+            m = _TEXT_VAR_RE.match(tok)
+            if m is None:
+                raise ParseError(f"unexpected symbol {tok!r}, expected a variable", position=i)
+            frames[-1][2].append(int(m.group(1)))
+            i += 1
+            continue
+        if tok == "(":
+            if i + 1 >= n:
+                raise ParseError("truncated input", position=i + 1)
+            ctor, slots = _TEXT_GRAMMAR.get(tokens[i + 1], (None, ()))
+            if not slots:
+                raise ParseError(f"unexpected symbol {tokens[i + 1]!r}", position=i + 1)
+            if issubclass(ctor, Term) and want == "f":
+                raise ParseError(f"unexpected symbol {tokens[i + 1]!r}, expected a formula", position=i + 1)
+            if issubclass(ctor, Formula) and want == "t":
+                raise ParseError(f"unexpected symbol {tokens[i + 1]!r}, expected a term", position=i + 1)
+            frames.append([ctor, slots, []])
+            i += 2
+            continue
+        m = _TEXT_VAR_RE.match(tok)
+        if m is not None:
+            if want == "f":
+                raise ParseError(f"unexpected symbol {tok!r}, expected a formula", position=i)
+            deliver(Var(int(m.group(1))))
+            i += 1
+            continue
+        if tok == "0":
+            if want == "f":
+                raise ParseError(f"unexpected symbol {tok!r}, expected a formula", position=i)
+            deliver(Zero())
+            i += 1
+            continue
+        raise ParseError(f"unexpected symbol {tok!r}", position=i)
+
+    if frames or root is None:
+        raise ParseError("truncated input", position=n)
+    return root

@@ -261,6 +261,18 @@ def test_domain_error_contract(capsys):
     assert "position" in payload
 
 
+def test_main_restores_the_int_digit_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4321)
+        assert run_cli(capsys, "fib", "7")[0] == 0
+        assert sys.get_int_max_str_digits() == 4321
+        assert run_cli(capsys, "syntax", "decode", "1")[0] == 1  # a domain error
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 from dataclasses import fields
 from itertools import product
 
@@ -49,7 +51,14 @@ from zeckgodel.syntax import (
 )
 from zeckgodel.syntax import _from_codes, _numeral_codes, _spans, _to_codes
 
-from helpers import eval_term, random_formula, random_term, shuffled_alphabet
+from helpers import (
+    eval_term,
+    format_text_reference,
+    parse_text_reference,
+    random_formula,
+    random_term,
+    shuffled_alphabet,
+)
 
 
 def test_default_alphabet_table():
@@ -303,9 +312,118 @@ def test_text_form_random_roundtrip():
 
 
 def test_parse_text_errors():
-    for bad in ["", "(", "(= 0", "(= 0 0) junk", "(?? 0)", "(forall 0 (= 0 0))", ")", "(= 0 0 0)"]:
+    for bad in ["", "(", "(= 0", "(= 0 0) junk", "(?? 0)", "(forall 0 (= 0 0))", ")", "(= 0 0 0)",
+                "= 0 0", "((= 0 0))", "(= (0) 0)"]:
         with pytest.raises(ParseError):
             parse_text(bad)
+
+
+def test_parse_text_reads_leading_zeros_in_a_variable():
+    assert parse_text("(= v007 0)") == Eq(Var(7), Zero())
+    assert format_text(parse_text("(= v007 0)")) == "(= v7 0)"
+
+
+def test_parse_text_error_positions_count_parentheses():
+    cases = [
+        ("(= 0 0 0)", 4, "trailing symbols"),
+        ("(= 0 0))", 5, "trailing symbols"),
+        ("(= 0", 3, "truncated input"),
+        ("(?? 0)", 1, "unexpected symbol '??'"),
+        ("(forall 0 (= 0 0))", 2, "unexpected symbol '0', expected a variable"),
+        ("= 0 0", 0, "unexpected '=', expected '('"),
+        ("((= 0 0))", 1, "unexpected '(', expected '='"),
+        ("(= (0) 0)", 2, "unexpected '(', expected '0'"),
+    ]
+    for text, position, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_text(text)
+        assert (exc.value.position, str(exc.value)) == (position, f"{message} at position {position}")
+
+
+def test_parsers_are_total_on_hostile_text():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        long_index = "1" * 4301
+        cases = [
+            (parse_text, None, 0),
+            (parse_text, 5, 0),
+            (parse_text, b"(= 0 0)", 0),
+            (parse, ["=", "0", f"v{long_index}"], 2),
+            (parse_text, f"(= 0 v{long_index})", 3),
+            (parse_text, f"(forall v{long_index} (= 0 0))", 2),
+        ]
+        for reader, text, position in cases:
+            with pytest.raises(ParseError) as exc:
+                reader(text)
+            assert exc.value.position == position, (reader.__name__, str(text)[:20])
+        # an index within the limit still reads; one past it still prints
+        assert parse_text(f"(= 0 v{long_index[1:]})") == Eq(Zero(), Var(int(long_index[1:])))
+        assert repr(Var(10**4400)).startswith("<zeckgodel.syntax.Var object at ")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_repr_rebuilds_the_node_at_any_depth():
+    node = Forall(0, Eq(Var(0), Succ(Zero())))
+    assert repr(node) == "parse_text('(forall v0 (= v0 (S 0)))')"
+    assert eval(repr(node), {"parse_text": parse_text}) == node
+    assert repr(numeral(2**5000)).startswith("parse_text('(* (S (S 0)) ")
+    assert repr(Var(-1)).startswith("<zeckgodel.syntax.Var object at ")
+
+
+# every text name, both parentheses twice, variables and a name that is no symbol
+_TEXT_POOL = ["(", ")", "(", ")", "not", "imp", "and", "or", "forall", "exists", "=", "0", "S", "+", "*",
+              "diagfn", "Prov", "v0", "v1", "v007", "??"]
+
+
+def _text_cases(rng, count):
+    """Random token strings, half joined without spaces, and format_text
+    output of random nodes, most with one token dropped, inserted or replaced."""
+    for _ in range(count):
+        if rng.random() < 0.4:
+            tokens = [rng.choice(_TEXT_POOL) for _ in range(rng.randrange(10))]
+            yield (" " if rng.random() < 0.5 else "").join(tokens)
+            continue
+        node = random_term(rng, 3) if rng.random() < 0.3 else random_formula(rng, 3)
+        tokens = re.findall(r"[()]|[^()\s]+", format_text(node))
+        i = rng.randrange(len(tokens) + 1)
+        kind = rng.randrange(4)
+        if kind == 1 and i < len(tokens):
+            del tokens[i]
+        elif kind == 2:
+            tokens.insert(i, rng.choice(_TEXT_POOL))
+        elif kind == 3 and i < len(tokens):
+            tokens[i] = rng.choice(_TEXT_POOL)
+        yield " ".join(tokens)
+
+
+def _differential(seed, count):
+    """Check parse_text against the reference frame machine; (accepted, rejected)."""
+    accepted = rejected = 0
+    for text in _text_cases(random.Random(seed), count):
+        n_tokens = len(text.replace("(", " ( ").replace(")", " ) ").split())
+        for expect in (None, "formula", "term"):
+            try:
+                want = parse_text_reference(text, expect)
+            except ParseError:
+                want = None
+            try:
+                got = parse_text(text, expect)
+            except ParseError as exc:
+                assert want is None and 0 <= exc.position <= n_tokens, (text, expect)
+                rejected += 1
+                continue
+            assert got == want, (text, expect)
+            assert format_text(got) == format_text_reference(want), (text, expect)
+            accepted += 1
+    return accepted, rejected
+
+
+def test_parse_text_matches_the_reference_machine():
+    # each string is read with all three expects; about one parse in seven accepts
+    accepted, rejected = _differential(2718, 50_000)
+    assert accepted >= 15_000 and rejected >= 100_000, (accepted, rejected)
 
 
 _term_strategy = st.deferred(
