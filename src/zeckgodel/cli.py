@@ -96,14 +96,11 @@ def parse_formula_arg(text: str, alphabet: Alphabet | None) -> SeqCode:
 
 
 def parse_var(text: str) -> int:
+    """A variable given as its name ``v<digits>`` or as the digits alone."""
+    from .syntax import _var_index
     t = text.strip()
-    if t.startswith("v"):
-        t = t[1:]
-    try:
-        index = int(t)
-    except ValueError:
-        raise ZeckGodelError(f"not a variable: {text!r}") from None
-    if index < 0:
+    index = _var_index(t if t.startswith("v") else "v" + t)
+    if index is None:
         raise ZeckGodelError(f"not a variable: {text!r}")
     return index
 

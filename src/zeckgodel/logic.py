@@ -146,7 +146,7 @@ def _eq_subst(codes, ids, ends, p: int, alphabet: Alphabet) -> bool:
         if a != codes[y]:
             return False
         # equal leaves have equal ids, so a is a head with operands
-        k, first, _, _ = sig[a]
+        k, first, _, _, _ = sig[a]
         x, y = x + 1, y + 1
         if first == 2:
             if codes[x] != codes[y]:
@@ -188,7 +188,7 @@ def _forall_inst(codes, ids, ends, p: int, alphabet: Alphabet) -> bool:
             return False
         if a >= offset:
             continue
-        k, first, _, _ = sig[a]
+        k, first, _, _, _ = sig[a]
         x, y = x + 1, y + 1
         if first == 2:
             if codes[x] != codes[y]:

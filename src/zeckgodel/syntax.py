@@ -5,11 +5,17 @@ well-formedness is one bounded left-to-right pass and there are no
 parentheses in the coded alphabet.  Symbol numbers below the offset are base
 symbols; v_i gets code i + offset.
 
-Encoding and decoding run on symbol codes: one walker (``_to_codes``) and one
-parser (``_from_codes``), both iterative, since numerals for multi-thousand-bit
-values nest far deeper than any recursion limit.  That parser reads codes,
-glyph lists (``parse``) and text (``parse_text``), the last two through a
-name-to-code table; a variable code is read as ``code - offset``, never as text.
+One table, ``_GRAMMAR``, gives each symbol's text name, constructor and
+operand slots.  An alphabet turns it into ``_sig``, each code's signature,
+which the parser, the span pass and the proof checker's matchers read, and
+``_emit``, its inverse for the walker.  Encoding and decoding run on symbol
+codes: one walker (``_to_codes``) and one parser (``_from_codes``), both
+iterative, since numerals for multi-thousand-bit values nest far deeper than
+any recursion limit.  The parser makes two passes: left to right it checks
+each symbol against the slot it fills, right to left it builds the tree.  It
+reads codes, glyph lists (``parse``) and text (``parse_text``), the last two
+through a name-to-code table; a variable name ``v<digits>`` has one reader
+and one writer, and a variable code is read as ``code - offset``, never as text.
 
 The parser runs only where an AST is returned.  Everything else, the code
 predicates, substitution's entry checks and the proof checker, reads a code
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -57,7 +62,7 @@ def _node_repr(x) -> str:
     """The parse_text call that rebuilds the node, e.g. ``parse_text('(= 0 0)')``."""
     try:
         return f"parse_text({format_text(x)!r})"
-    except (TypeError, ValueError, ZeckGodelError):  # a bad field, or an index past the digit limit
+    except (TypeError, ZeckGodelError):  # a bad field, or an index past the digit limit
         return object.__repr__(x)
 
 
@@ -157,28 +162,25 @@ class Exists(Formula):
 
 # --- Alphabet -----------------------------------------------------------
 
-# head glyph -> (text name, constructor, operand slots); t = term,
-# f = formula, v = bound variable
-_GRAMMAR: dict[str, tuple[str, type, tuple[str, ...]]] = {
-    "¬": ("not", Neg, ("f",)),
-    "→": ("imp", Imp, ("f", "f")),
-    "∧": ("and", And, ("f", "f")),
-    "∨": ("or", Or, ("f", "f")),
-    "∀": ("forall", Forall, ("v", "f")),
-    "∃": ("exists", Exists, ("v", "f")),
-    "=": ("=", Eq, ("t", "t")),
+# A slot or category as the parity of a span-pass id; _V is a bound variable.
+_T, _F, _V = 0, 1, 2
+
+# head glyph -> (text name, constructor, operand slots), in the default alphabet's code order
+_GRAMMAR: dict[str, tuple[str, type, tuple[int, ...]]] = {
+    "¬": ("not", Neg, (_F,)),
+    "→": ("imp", Imp, (_F, _F)),
+    "∧": ("and", And, (_F, _F)),
+    "∨": ("or", Or, (_F, _F)),
+    "∀": ("forall", Forall, (_V, _F)),
+    "∃": ("exists", Exists, (_V, _F)),
+    "=": ("=", Eq, (_T, _T)),
     "0": ("0", Zero, ()),
-    "S": ("S", Succ, ("t",)),
-    "+": ("+", Plus, ("t", "t")),
-    "·": ("*", Times, ("t", "t")),
-    "diagfn": ("diagfn", DiagFn, ("t",)),
-    "Prov": ("Prov", ProvP, ("t",)),
+    "S": ("S", Succ, (_T,)),
+    "+": ("+", Plus, (_T, _T)),
+    "·": ("*", Times, (_T, _T)),
+    "diagfn": ("diagfn", DiagFn, (_T,)),
+    "Prov": ("Prov", ProvP, (_T,)),
 }
-_BASE_GLYPHS = tuple(_GRAMMAR)
-_VAR_RE = re.compile(r"^v(\d+)$")
-_BINDER = 3  # _to_codes shape of a quantifier; the others are their operand counts
-# a slot or category as the parity of a span-pass id; 2 is a bound variable
-_SLOT_PARITY = {"t": 0, "f": 1, "v": 2}
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,9 @@ class Alphabet:
     offset: int
 
     def __post_init__(self):
-        if set(self.base) != set(_BASE_GLYPHS):
+        if set(self.base) != set(_GRAMMAR):
             raise AlphabetError(
-                f"alphabet must assign exactly the symbols {sorted(_BASE_GLYPHS)}"
+                f"alphabet must assign exactly the symbols {sorted(_GRAMMAR)}"
             )
         codes = list(self.base.values())
         if len(set(codes)) != len(codes):
@@ -201,28 +203,22 @@ class Alphabet:
         if self.offset <= len(self.base):
             raise AlphabetError("offset must exceed the number of base symbols")
         object.__setattr__(self, "_by_code", {c: s for s, c in self.base.items()})
-        # code -> (constructor, slots, category): the parser's head table
-        heads = {}
-        # constructor -> (code, shape): the walker's table
-        emit = {}
-        # code -> (operand count, first slot, second slot, category): the span
-        # pass's table, slots and category as id parities (_SLOT_PARITY)
+        # code -> (operand count, first slot, second slot, category, constructor):
+        # the one table that the parser, the span pass and logic's matchers read
         sig = {}
+        emit = {}  # constructor -> (code, operand count, first slot): the walker's inverse
         for glyph, code in self.base.items():
             _, ctor, slots = _GRAMMAR[glyph]
-            category = "t" if issubclass(ctor, Term) else "f"
-            heads[code] = (ctor, slots, category)
-            emit[ctor] = (code, _BINDER if slots[:1] == ("v",) else len(slots))
-            first, second = ([_SLOT_PARITY[x] for x in slots] + [None, None])[:2]
-            sig[code] = (len(slots), first, second, _SLOT_PARITY[category])
-        object.__setattr__(self, "_heads", heads)
-        object.__setattr__(self, "_emit", emit)
+            first, second = (slots + (None, None))[:2]
+            sig[code] = (len(slots), first, second, _F if issubclass(ctor, Formula) else _T, ctor)
+            emit[ctor] = (code, len(slots), first)
         object.__setattr__(self, "_sig", sig)
+        object.__setattr__(self, "_emit", emit)
 
     def code_of(self, symbol: str) -> int:
-        m = _VAR_RE.match(symbol)
-        if m:
-            return int(m.group(1)) + self.offset
+        index = _var_index(symbol)
+        if index is not None:
+            return index + self.offset
         try:
             return self.base[symbol]
         except KeyError:
@@ -230,7 +226,7 @@ class Alphabet:
 
     def symbol_of(self, code: int) -> str:
         if code >= self.offset:
-            return f"v{code - self.offset}"
+            return _var_name(code - self.offset)
         sym = self._by_code.get(code)
         if sym is None:
             raise InvalidSymbolError(code)
@@ -244,24 +240,8 @@ def default_alphabet() -> Alphabet:
     return DEFAULT_ALPHABET
 
 
-DEFAULT_ALPHABET = Alphabet(
-    base={
-        "¬": 1,
-        "→": 2,
-        "∧": 3,
-        "∨": 4,
-        "∀": 5,
-        "∃": 6,
-        "=": 7,
-        "0": 8,
-        "S": 9,
-        "+": 10,
-        "·": 11,
-        "diagfn": 12,
-        "Prov": 13,
-    },
-    offset=16,
-)
+# the glyphs on codes 1 to 13 in _GRAMMAR's order, v_i on i + 16
+DEFAULT_ALPHABET = Alphabet(base={glyph: code for code, glyph in enumerate(_GRAMMAR, start=1)}, offset=16)
 
 
 def _read_config(source, error: type[ZeckGodelError], what: str):
@@ -306,21 +286,35 @@ def _to_codes(node: "Term | Formula", alphabet: Alphabet) -> list[int]:
         head = emit.get(t)
         if head is None:
             raise TypeError(f"not an AST node: {x!r}")
-        code, shape = head
+        code, k, first = head
         out.append(code)
-        if shape == 2:
-            stack.append(x.right)
-            stack.append(x.left)
-        elif shape == 1:
-            stack.append(x.arg)
-        elif shape == _BINDER:
+        if first == _V:
             out.append(_var_code(x.var, offset))
             stack.append(x.body)
+        elif k == 2:
+            stack.append(x.right)
+            stack.append(x.left)
+        elif k:
+            stack.append(x.arg)
     return out
 
 
-_WANT = {"formula": "f", "term": "t"}
-_EXPECTED = {"f": "a formula", "t": "a term", "v": "a variable"}
+def _var_index(name: str, position: int = 0) -> int | None:
+    """The index that a variable name ``v<digits>`` spells; None for any other name."""
+    if name[:1] != "v" or not name[1:].isdecimal():
+        return None
+    try:
+        return int(name[1:])
+    except ValueError:  # more digits than the int/str limit allows
+        raise ParseError("variable index too long", position=position) from None
+
+
+def _var_name(index: int) -> str:
+    """The name ``v<digits>`` of variable ``index``, the inverse of _var_index."""
+    try:
+        return f"v{index}"
+    except ValueError:  # more digits than the int/str limit allows
+        raise ZeckGodelError(f"variable index of {index.bit_length()} bits is too long to write") from None
 
 
 def _glyph(code: int, alphabet: Alphabet) -> str:
@@ -334,61 +328,60 @@ def _unexpected(codes: Sequence[int], i: int, alphabet: Alphabet, message: str) 
     """The error for a parse failing at ``i``: an invalid symbol number at or
     after ``i`` wins, as if every code had been looked up before parsing."""
     for a in codes[i:]:
-        if a < alphabet.offset and a not in alphabet._heads:
+        if a < alphabet.offset and a not in alphabet._sig:
             return InvalidSymbolError(a)
     return ParseError(message, position=i)
 
 
-def _from_codes(codes: Sequence[int], alphabet: Alphabet, expect: str | None = None) -> "Term | Formula":
+_WANT = {"formula": _F, "term": _T}
+_EXPECTED = ("a term", "a formula", "a variable")
+
+
+def _from_codes(
+    codes: Sequence[int], alphabet: Alphabet, expect: str | None = None, names: Sequence[str] | None = None
+) -> "Term | Formula":
     """Inverse of _to_codes.  ``expect`` may pin the category to formula/term.
 
-    A variable is ``code - offset``; no index passes through text.
+    A left-to-right pass checks each symbol against the slot it fills, then a
+    right-to-left pass builds the tree on a stack of operands.  A variable is
+    ``code - offset``; no index passes through text.  Messages name the
+    symbol at i by ``names[i]`` if given, else by its glyph.
     """
-    heads, offset = alphabet._heads, alphabet.offset
-    enclosing: list[tuple] = []  # frames outside the innermost one
-    ctor = slots = children = None  # the innermost open frame
-    want = _WANT.get(expect, "a")  # None once the root is complete
+    sig, offset = alphabet._sig, alphabet.offset
+    want = [_WANT.get(expect)]  # slots to fill, the next on top; None takes either category
     for i, a in enumerate(codes):
-        if want is None:
+        if not want:
             raise _unexpected(codes, i, alphabet, "trailing symbols")
+        slot = want.pop()
         if a >= offset:
-            if want == "v":
-                children.append(a - offset)
-                want = slots[1]
+            if slot != _F:
                 continue
-            if want == "f":
-                raise _unexpected(codes, i, alphabet, f"unexpected symbol {_glyph(a, alphabet)!r}, expected a formula")
-            node: object = Var(a - offset)
-        else:
-            head = heads.get(a)
-            if head is None:
-                raise InvalidSymbolError(a)
-            if want != head[2] and want != "a":
-                raise _unexpected(
-                    codes, i, alphabet, f"unexpected symbol {_glyph(a, alphabet)!r}, expected {_EXPECTED[want]}"
-                )
-            if head[1]:
-                if children is not None:
-                    enclosing.append((ctor, slots, children))
-                ctor, slots, _ = head
-                children = []
-                want = slots[0]
-                continue
-            node = head[0]()
-        # deliver the completed node upward, folding filled frames
-        while True:
-            if children is None:
-                root, want = node, None
-                break
-            children.append(node)
-            if len(children) < len(slots):
-                want = slots[len(children)]
-                break
-            node = ctor(*children)
-            ctor, slots, children = enclosing.pop() if enclosing else (None, None, None)
-    if want is not None:
+        elif a not in sig:
+            raise InvalidSymbolError(a)
+        elif slot is None or slot == sig[a][3]:
+            k, first, second, _, _ = sig[a]
+            if k == 2:
+                want.append(second)
+            if k:
+                want.append(first)
+            continue
+        name = _glyph(a, alphabet) if names is None else names[i]
+        raise _unexpected(codes, i, alphabet, f"unexpected symbol {name!r}, expected {_EXPECTED[slot]}")
+    if want:
         raise _unexpected(codes, len(codes), alphabet, "truncated input")
-    return root
+    stack: list = []
+    for a in reversed(codes):
+        if a >= offset:
+            stack.append(Var(a - offset))
+            continue
+        k, first, _, _, ctor = sig[a]
+        if first == _V:
+            stack.append(ctor(stack.pop().index, stack.pop()))
+        elif k == 2:
+            stack.append(ctor(stack.pop(), stack.pop()))
+        else:
+            stack.append(ctor(stack.pop()) if k else ctor())
+    return stack[0]
 
 
 # --- the span pass --------------------------------------------------------
@@ -416,7 +409,7 @@ def _spans(codes: Sequence[int], alphabet: Alphabet, table: dict, root: int = 1)
             head = sig.get(a)
             if head is None:
                 return None
-            k, first, second, category = head
+            k, first, second, category, _ = head
         else:
             k = 0
         if not k:
@@ -451,38 +444,40 @@ def _spans(codes: Sequence[int], alphabet: Alphabet, table: dict, root: int = 1)
 def flatten(node: "Term | Formula") -> list[str]:
     """Prefix-order symbol string of an AST (operator before operands)."""
     by_code, offset = DEFAULT_ALPHABET._by_code, DEFAULT_ALPHABET.offset
-    return [by_code[c] if c < offset else f"v{c - offset}" for c in _to_codes(node, DEFAULT_ALPHABET)]
+    return [by_code[c] if c < offset else _var_name(c - offset) for c in _to_codes(node, DEFAULT_ALPHABET)]
 
 
 def parse(symbols: Sequence[str], expect: str | None = None) -> "Term | Formula":
     """Inverse of flatten.  ``expect`` may pin the category to formula/term."""
+    if not isinstance(symbols, Sequence):
+        raise ParseError("symbols must be a sequence of strings", position=0)
+    for i, name in enumerate(symbols):
+        if not isinstance(name, str):
+            raise ParseError("a symbol must be a string", position=i)
     return _parse_names(symbols, DEFAULT_ALPHABET.base, expect)
 
 
 def _parse_names(names: Sequence[str], table: Mapping[str, int], expect: str | None) -> "Term | Formula":
     """The AST that a list of names spells, built by _from_codes: ``table`` maps
     base names (glyphs or text names) to codes, and ``v<digits>`` is a variable."""
-    base, offset = DEFAULT_ALPHABET.base, DEFAULT_ALPHABET.offset
+    sig, offset = DEFAULT_ALPHABET._sig, DEFAULT_ALPHABET.offset
     codes: list[int] = []
-    for tok in names:  # up to the first unknown name
-        m = _VAR_RE.match(tok)
-        if m:
-            try:
-                codes.append(int(m.group(1)) + offset)
-            except ValueError:  # more digits than the int/str limit allows
-                raise ParseError("variable index too long", position=len(codes)) from None
-        elif tok in table:
-            codes.append(table[tok])
-        else:
-            break
+    for name in names:  # up to the first unknown name
+        code = table.get(name)
+        if code is None:
+            index = _var_index(name, len(codes))
+            if index is None:
+                break
+            code = index + offset
+        codes.append(code)
     u = len(codes)
     try:
-        node = _from_codes(codes, DEFAULT_ALPHABET, expect)
+        node = _from_codes(codes, DEFAULT_ALPHABET, expect, names)
     except ParseError as exc:
         if u == len(names) or exc.position < u:
             raise
         # the parser reached the unknown name and wanted a symbol there
-        wanted = ", expected a variable" if u and codes[u - 1] in (base["∀"], base["∃"]) else ""
+        wanted = ", expected a variable" if u and codes[u - 1] in sig and sig[codes[u - 1]][1] == _V else ""
         raise ParseError(f"unexpected symbol {names[u]!r}{wanted}", position=u) from None
     if u < len(names):
         raise ParseError("trailing symbols", position=u)
@@ -522,8 +517,8 @@ def is_term_code(c: "SeqCode | int", alphabet: Alphabet | None = None) -> bool:
 
 def numeral(n: int) -> Term:
     """Closed term of value n with O(bit-length) symbols, in doubling form."""
-    if n < 0:
-        raise ValueError("numerals denote naturals")
+    if not isinstance(n, int) or n < 0:
+        raise ZeckGodelError("numerals denote natural numbers")
     return _from_codes(_numeral_codes(n, DEFAULT_ALPHABET), DEFAULT_ALPHABET)
 
 
@@ -581,7 +576,7 @@ def _text_tokens(node: "Term | Formula") -> list[str]:
     owed: list[int] = []  # operands still to come in each open parenthesis
     for c in _to_codes(node, DEFAULT_ALPHABET):
         if c >= offset:
-            tokens.append(f"v{c - offset}")
+            tokens.append(_var_name(c - offset))
         else:
             name, _, slots = _GRAMMAR[by_code[c]]
             if slots:

@@ -12,7 +12,7 @@ import re
 from dataclasses import fields
 from math import isqrt
 
-from zeckgodel.errors import ParseError
+from zeckgodel.errors import InvalidSymbolError, ParseError
 from zeckgodel.syntax import (
     DEFAULT_ALPHABET,
     Alphabet,
@@ -294,4 +294,88 @@ def parse_text_reference(text: str, expect: str | None = None):
 
     if frames or root is None:
         raise ParseError("truncated input", position=n)
+    return root
+
+
+# glyph of each text name that differs from it
+_GLYPH_OF_TEXT = {"not": "¬", "imp": "→", "and": "∧", "or": "∨", "forall": "∀", "exists": "∃", "*": "·"}
+
+
+def reference_heads(alphabet: Alphabet) -> dict:
+    """code -> (constructor, operand slots, category) in the letters t/f/v:
+    the head table the code parser read before it read one signature table."""
+    heads = {}
+    for name, (ctor, slots) in _TEXT_GRAMMAR.items():
+        heads[alphabet.base[_GLYPH_OF_TEXT.get(name, name)]] = (ctor, slots, "t" if issubclass(ctor, Term) else "f")
+    return heads
+
+
+def _reference_glyph(code: int, alphabet: Alphabet) -> str:
+    if code < alphabet.offset:
+        return alphabet._by_code[code]
+    e = code - alphabet.offset
+    return f"v{e}" if e.bit_length() <= 2048 else f"v<{e.bit_length()}-bit index>"
+
+
+def _reference_unexpected(codes, i, alphabet, heads, message):
+    for a in codes[i:]:
+        if a < alphabet.offset and a not in heads:
+            return InvalidSymbolError(a)
+    return ParseError(message, position=i)
+
+
+def from_codes_reference(codes, alphabet: Alphabet, heads: dict, expect: str | None = None):
+    """The one-pass frame machine that parsed symbol codes before the parser
+    split into a slot check and a stack build, kept as an oracle; ``heads``
+    is reference_heads(alphabet)."""
+    offset = alphabet.offset
+    _glyph = _reference_glyph
+    _EXPECTED = {"f": "a formula", "t": "a term", "v": "a variable"}
+
+    def _unexpected(codes, i, alphabet, message):
+        return _reference_unexpected(codes, i, alphabet, heads, message)
+
+    enclosing: list[tuple] = []  # frames outside the innermost one
+    ctor = slots = children = None  # the innermost open frame
+    want = {"formula": "f", "term": "t"}.get(expect, "a")  # None once the root is complete
+    for i, a in enumerate(codes):
+        if want is None:
+            raise _unexpected(codes, i, alphabet, "trailing symbols")
+        if a >= offset:
+            if want == "v":
+                children.append(a - offset)
+                want = slots[1]
+                continue
+            if want == "f":
+                raise _unexpected(codes, i, alphabet, f"unexpected symbol {_glyph(a, alphabet)!r}, expected a formula")
+            node: object = Var(a - offset)
+        else:
+            head = heads.get(a)
+            if head is None:
+                raise InvalidSymbolError(a)
+            if want != head[2] and want != "a":
+                raise _unexpected(
+                    codes, i, alphabet, f"unexpected symbol {_glyph(a, alphabet)!r}, expected {_EXPECTED[want]}"
+                )
+            if head[1]:
+                if children is not None:
+                    enclosing.append((ctor, slots, children))
+                ctor, slots, _ = head
+                children = []
+                want = slots[0]
+                continue
+            node = head[0]()
+        # deliver the completed node upward, folding filled frames
+        while True:
+            if children is None:
+                root, want = node, None
+                break
+            children.append(node)
+            if len(children) < len(slots):
+                want = slots[len(children)]
+                break
+            node = ctor(*children)
+            ctor, slots, children = enclosing.pop() if enclosing else (None, None, None)
+    if want is not None:
+        raise _unexpected(codes, len(codes), alphabet, "truncated input")
     return root

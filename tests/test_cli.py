@@ -105,6 +105,13 @@ def test_sub_command(capsys):
     _, fc, _ = run_cli(capsys, "syntax", "encode", "(forall v0 (= v0 v0))")
     _, out, _ = run_cli(capsys, "sub", "--free", "(forall v0 (= v0 v0))", "0")
     assert json.loads(out)["support"] == json.loads(fc)["support"]
+    # --var reads a variable name as the parser does, or its digits alone
+    _, expected, _ = run_cli(capsys, "sub", "(= v5 v0)", "0", "--var", "v5")
+    _, out, _ = run_cli(capsys, "sub", "(= v5 v0)", "0", "--var", "5")
+    assert out == expected
+    for bad in ("5_0", "v+5", "v 5", "-1", "x"):
+        code, out, err = run_cli(capsys, "sub", "(= v5 v0)", "0", "--var", bad)
+        assert code == 1 and out == "" and "not a variable" in json.loads(err)["message"], bad
 
 
 def test_diag_and_fixpoint(capsys):

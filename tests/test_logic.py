@@ -598,7 +598,7 @@ def test_code_matchers_match_the_ast_matchers(alphabet):
     rng = random.Random(2006)
     tests = {name: _axioms(TheoryConfig(schemas=frozenset({name})), alphabet)[0] for name in SCHEMA_NAMES}
     symbols = list(alphabet.base.values()) + [alphabet.offset + k for k in range(4)]
-    arity = lambda c: len(alphabet._heads[c][1]) if c < alphabet.offset else 0
+    arity = lambda c: alphabet._sig[c][0] if c < alphabet.offset else 0
     hits = tampered = 0
     for _ in range(600):
         codes = _to_codes(_schema_instance(rng), alphabet)

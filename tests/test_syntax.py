@@ -54,9 +54,11 @@ from zeckgodel.syntax import _from_codes, _numeral_codes, _spans, _to_codes
 from helpers import (
     eval_term,
     format_text_reference,
+    from_codes_reference,
     parse_text_reference,
     random_formula,
     random_term,
+    reference_heads,
     shuffled_alphabet,
 )
 
@@ -69,6 +71,9 @@ def test_default_alphabet_table():
     assert a.code_of("v0") == 16
     assert a.code_of("v3") == 19
     assert a.offset == 16
+    # the whole table: the default codes follow the grammar's order
+    glyphs = ["¬", "→", "∧", "∨", "∀", "∃", "=", "0", "S", "+", "·", "diagfn", "Prov"]
+    assert dict(a.base) == {g: code for code, g in enumerate(glyphs, start=1)}
 
 
 def test_variable_and_base_codes_disjoint():
@@ -128,6 +133,8 @@ def test_parse_errors():
         parse(["∀", "0", "=", "0", "0"])  # binder needs a variable
     with pytest.raises(ParseError):
         parse([])
+    with pytest.raises(ParseError):
+        parse(["v1\n"])  # flatten writes no such name
 
 
 def test_parse_category_pinning():
@@ -252,6 +259,9 @@ def test_numeral_examples():
     assert numeral(0) == Zero()
     assert numeral(1) == Succ(Zero())
     assert numeral(6) == Times(two, Succ(Times(two, Succ(Zero()))))
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(ZeckGodelError):
+            numeral(bad)
 
 
 def test_numeral_evaluates_to_its_value():
@@ -333,6 +343,8 @@ def test_parse_text_error_positions_count_parentheses():
         ("= 0 0", 0, "unexpected '=', expected '('"),
         ("((= 0 0))", 1, "unexpected '(', expected '='"),
         ("(= (0) 0)", 2, "unexpected '(', expected '0'"),
+        ("(= (imp 0 0) 0)", 3, "unexpected symbol 'imp', expected a term"),  # as written, not '→'
+        ("(forall v1 v007)", 3, "unexpected symbol 'v007', expected a formula"),
     ]
     for text, position, message in cases:
         with pytest.raises(ParseError) as exc:
@@ -352,6 +364,11 @@ def test_parsers_are_total_on_hostile_text():
             (parse, ["=", "0", f"v{long_index}"], 2),
             (parse_text, f"(= 0 v{long_index})", 3),
             (parse_text, f"(forall v{long_index} (= 0 0))", 2),
+            (parse, None, 0),
+            (parse, 5, 0),
+            (parse, [None], 0),
+            (parse, ["=", 5, "0"], 1),
+            (parse, ["=", "0", ["0"]], 2),
         ]
         for reader, text, position in cases:
             with pytest.raises(ParseError) as exc:
@@ -360,6 +377,22 @@ def test_parsers_are_total_on_hostile_text():
         # an index within the limit still reads; one past it still prints
         assert parse_text(f"(= 0 v{long_index[1:]})") == Eq(Zero(), Var(int(long_index[1:])))
         assert repr(Var(10**4400)).startswith("<zeckgodel.syntax.Var object at ")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_variable_names_past_the_digit_limit_are_domain_errors():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        node = Forall(10**5000, Eq(Var(0), Zero()))
+        for write in (format_text, flatten, lambda x: DEFAULT_ALPHABET.symbol_of(x.var + 16)):
+            with pytest.raises(ZeckGodelError, match="too long to write"):
+                write(node)
+        with pytest.raises(ParseError, match="variable index too long"):
+            DEFAULT_ALPHABET.code_of("v" + "1" * 4301)
+        # the code parser reads the index off the code, so the node still decodes
+        assert decode_syntax(seq_encode(_to_codes(node, DEFAULT_ALPHABET))) == node
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -542,6 +575,51 @@ def test_ast_equality_does_not_recurse():
     assert Var(3) == Var(3) and Var(3) != Var(4) and Zero() != Var(0) and Eq(Zero(), Zero()) != Zero()
     assert len({x, y, Eq(Zero(), Zero()), Eq(Zero(), Zero())}) == 2
     assert [f.name for f in fields(Forall)] == ["var", "body"]
+
+
+def _code_cases(rng, alphabet, count):
+    """Random code lists, and the codes of random nodes, most with one code
+    dropped, inserted or replaced, over every glyph, three variables, a huge
+    one and two codes that are no symbol."""
+    pool = list(alphabet.base.values()) + [alphabet.offset + k for k in range(3)] + [0, alphabet.offset - 1]
+    pool.append(alphabet.offset + 2**3000)
+    for _ in range(count):
+        if rng.random() < 0.4:
+            yield [rng.choice(pool) for _ in range(rng.randrange(10))]
+            continue
+        codes = _to_codes(random_term(rng, 3) if rng.random() < 0.3 else random_formula(rng, 3), alphabet)
+        i = rng.randrange(len(codes) + 1)
+        kind = rng.randrange(4)
+        if kind == 1 and i < len(codes):
+            del codes[i]
+        elif kind == 2:
+            codes.insert(i, rng.choice(pool))
+        elif kind == 3 and i < len(codes):
+            codes[i] = rng.choice(pool)
+        yield codes
+
+
+def _outcome(parser, *args):
+    """The parser's AST, or its error as (type, message, position)."""
+    try:
+        return parser(*args)
+    except ZeckGodelError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("alphabet", _ALPHABETS, ids=["default", "offset40"])
+def test_code_parser_matches_the_reference_machine(alphabet):
+    heads = reference_heads(alphabet)
+    accepted = rejected = 0
+    for codes in _code_cases(random.Random(2028), alphabet, 50_000):
+        for expect in (None, "formula", "term"):
+            got = _outcome(_from_codes, codes, alphabet, expect)
+            assert got == _outcome(from_codes_reference, codes, alphabet, heads, expect), (codes, expect)
+            if isinstance(got, tuple):
+                rejected += 1
+            else:
+                accepted += 1
+    assert accepted >= 20_000 and rejected >= 100_000, (accepted, rejected)
 
 
 @pytest.mark.parametrize("alphabet", _ALPHABETS, ids=["default", "offset40"])
