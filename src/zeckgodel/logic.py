@@ -211,14 +211,14 @@ def _axioms(theory: TheoryConfig, alphabet: Alphabet):
     of a span-passed list.
 
     Built once per (theory, alphabet) and kept on the frozen theory itself,
-    keyed by the alphabet's id; the entry holds the alphabet, so that id
-    stays its own.  A dict keyed by the theory would hash every axiom.
-    Extra axioms are looked up by their symbol codes in a set.
+    keyed by the alphabet, so equal alphabets share an entry.  A dict keyed
+    by the theory would hash every axiom.  Extra axioms are looked up by
+    their symbol codes in a set.
     """
     built = theory.__dict__.setdefault("_axioms", {})
-    entry = built.get(id(alphabet))
+    entry = built.get(alphabet)
     if entry is not None:
-        return entry[1:]
+        return entry
     extra = tuple(tuple(_to_codes(a, alphabet)) for a in theory.extra_axioms)
     lookup = set(extra)
     templates = [
@@ -235,7 +235,7 @@ def _axioms(theory: TheoryConfig, alphabet: Alphabet):
             walk(codes, ids, ends, p, alphabet) for walk in walks
         )
 
-    return built.setdefault(id(alphabet), (alphabet, test, extra))[1:]
+    return built.setdefault(alphabet, (test, extra))
 
 
 def is_axiom(f: Formula, theory: TheoryConfig | None = None) -> bool:

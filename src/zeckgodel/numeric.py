@@ -11,6 +11,11 @@ CPython's ``math.isqrt`` and ``//`` are quadratic in the operand size, while
 its multiplication is Karatsuba, so the big-integer kernels here lean on
 multiplication (Brent and Zimmermann, Modern Computer Arithmetic, 1.5-1.7):
 
+- ``_divmod`` is Burnikel and Ziegler's recursive division (Fast Recursive
+  Division, MPI-I-98-1-022; Brent and Zimmermann 1.4.3) for quotients and
+  divisors past DIV_LEAF_BITS, with the built-in ``divmod`` as its leaf.  It
+  is the one quotient routine of the kernels below; a caller keeps a
+  quotient under the leaf on the built-in inline.
 - ``_sqrtrem`` is Zimmermann's Karatsuba square root (SqrtRem, INRIA RR-3805)
   above SQRT_LEAF_BITS, with ``math.isqrt`` as its leaf.  Its divisions are a
   quarter of the operand's size.
@@ -18,8 +23,8 @@ multiplication (Brent and Zimmermann, Modern Computer Arithmetic, 1.5-1.7):
   up from the largest power already cached.
 - ``lucas_ratio(n, m, top)`` reads n / L(m), L(m) the Lucas number, off a
   reciprocal cached per power of two m, with one multiplication.  The
-  reciprocal is sized from the bound a decode carries, n < F_{top+1}, not
-  from n itself.
+  reciprocal is sized from a bound the decode passes, n < F_{top+1}, not
+  from n itself, and is one quotient.
 - ``sqrt5_fixed(p)`` is floor(sqrt(5) * 2**p), truncated from one cached
   value.
 
@@ -29,6 +34,11 @@ its own top index by at most one doubling, and never past FIB_TABLE_CAP, so a
 one-shot conversion fills little more than it reads.  Each cache is built on
 first use, and rebuilt more precise only when a call needs more precision
 than it holds; importing builds nothing.
+
+The public entries (fib, max_fib_index_le, cantor_pair, cantor_unpair,
+zeck_length_bound) check their arguments once and raise InvalidSupportError
+on anything but a natural in their domain; the kernels, and ``_unpair`` for
+the callers in seqcode, take naturals unchecked.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import threading
 from bisect import bisect_right
 from math import isqrt
 
-from .errors import ZeckGodelError
+from .errors import InvalidSupportError, ZeckGodelError
 
 # Dense memo table is only grown up to this index; beyond it one-off values
 # come from fast doubling (a full table to 2**16 would cost ~190 MB), and the
@@ -53,6 +63,11 @@ _LOG2_PHI_E4 = 6942
 # Up to this many bits a square root is math.isqrt; above it, SqrtRem splits
 # the operand, which pays from about 3 kbit on CPython 3.11.
 SQRT_LEAF_BITS = 2048
+
+# Up to this many bits of quotient or divisor a division is the built-in
+# divmod (schoolbook in CPython 3.11); above both, _divmod recurses, which
+# pays from about 5 kbit of quotient on CPython 3.11.
+DIV_LEAF_BITS = 3000
 
 # Fixed-point values carry this many bits beyond what they are multiplied
 # with, so a truncated product is off by less than 2**-GUARD_BITS.
@@ -88,10 +103,21 @@ def _extend_table(e: int) -> None:
             _fib_table.append(_fib_table[-1] + _fib_table[-2])
 
 
+def _check_natural(value, what: str, least: int = 0) -> None:
+    """The public entries' domain check: value must be an int >= least.
+
+    A bool passes as an int, as everywhere in the package.  The message
+    shows a wrong int only up to 64 bits, since a huge one cannot be
+    formatted under Python's int/str digit limit.
+    """
+    if not isinstance(value, int) or value < least:
+        got = value if isinstance(value, int) and value.bit_length() <= 64 else type(value).__name__
+        raise InvalidSupportError(f"{what} must be an integer >= {least}, got {got}")
+
+
 def fib(e: int) -> int:
     """F_e under the shifted convention (F_1 = 1, F_2 = 2)."""
-    if e < 1:
-        raise ZeckGodelError(f"Fibonacci index must be >= 1, got {e}")
+    _check_natural(e, "a Fibonacci index", 1)
     if e <= FIB_TABLE_CAP:
         return fib_table(e)[e - 1]
     # shifted convention: F_e here is the classical F(e+1)
@@ -153,8 +179,8 @@ def lucas_ratio(n: int, m: int, top: int = 0) -> tuple[int, int]:
     2**(-GUARD_BITS-1)), times a reciprocal floor(2**q / L(m)) truncated to
     t = bits(n) + GUARD_BITS + 1 bits past the point (an error under
     n / 2**t < 2**(-GUARD_BITS-1)).  The reciprocal is cached per m and
-    built for every n < F_{top+1}, the bound a decode carries, so calls
-    at m under the same bound share one division.  A larger n rebuilds
+    built for every n < F_{top+1}, the bound a decode passes, so calls
+    at m under the same bound share one quotient.  A larger n rebuilds
     it with at least twice the quotient bits, so a small quotient never
     pays for a large one.
     """
@@ -168,7 +194,8 @@ def lucas_ratio(n: int, m: int, top: int = 0) -> tuple[int, int]:
         q = max(t, (top + 1) * (_LOG2_PHI_E4 + 1) // 10000 + GUARD_BITS + 2)
         if recip is not None:
             q = max(q, 2 * recip[1] - bits)
-        recip = _split_recips[m] = (max(0, bits - GUARD_BITS - 2), q, (1 << q) // lucas)
+        inv = (1 << q) // lucas if q - bits <= DIV_LEAF_BITS else _divmod(1 << q, lucas)[0]
+        recip = _split_recips[m] = (max(0, bits - GUARD_BITS - 2), q, inv)
     s, q, r = recip
     return (n >> s) * (r >> q - t), t - s
 
@@ -187,11 +214,66 @@ def sqrt5_fixed(p: int) -> int:
     return s >> top - p
 
 
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0 and b > 0, by Burnikel and Ziegler's division.
+
+    With a quotient or a divisor of at most DIV_LEAF_BITS bits it is the
+    built-in.  Otherwise a is read from the top in digits of n = bits(b),
+    and each remainder-and-digit pair, below b * 2**n, is one _div2by1.
+    """
+    n = b.bit_length()
+    if n <= DIV_LEAF_BITS or a.bit_length() - n <= DIV_LEAF_BITS:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div2by1(r << n | a >> shift & mask, b, n)
+        q = q << n | digit
+    return q, r
+
+
+def _div2by1(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and a < b * 2**n.
+
+    The quotient's upper and lower halves are each a _div3by2 by b split
+    at h = n / 2 (n made even by doubling a and b).
+    """
+    if a.bit_length() - n <= DIV_LEAF_BITS:
+        return divmod(a, b)
+    odd = n & 1
+    if odd:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b0 = b >> h, b & mask
+    q1, r = _div3by2(a >> n, a >> h & mask, b, b1, b0, h)
+    q0, r = _div3by2(r, a & mask, b, b1, b0, h)
+    return q1 << h | q0, r >> odd
+
+
+def _div3by2(a1: int, a0: int, b: int, b1: int, b0: int, h: int) -> tuple[int, int]:
+    """divmod(a1 * 2**h + a0, b) for b = b1 * 2**h + b0, b1 of exactly h
+    bits, a0 < 2**h and a1 < b.
+
+    The quotient by b1 alone, capped at 2**h - 1, overshoots by at most two,
+    because b1's top bit is set; the remainder's sign corrects it.
+    """
+    if a1 >> h == b1:
+        q, r = (1 << h) - 1, a1 - (b1 << h) + b1
+    else:
+        q, r = _div2by1(a1, b1, h)
+    r = (r << h | a0) - q * b0
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def _sqrtrem(n: int) -> tuple[int, int]:
     """(s, n - s*s) for s = floor(sqrt(n)), by Zimmermann's SqrtRem.
 
     With b = 2**l, n = A*b**2 + a1*b + a0 where a1, a0 < b.  From
-    A = s'**2 + r' it takes q, u = divmod(r'*b + a1, 2*s'), so s = s'*b + q
+    A = s'**2 + r' it takes q, u = _divmod(r'*b + a1, 2*s'), so s = s'*b + q
     and n - s**2 = u*b + a0 - q**2 exactly.  Splitting at l = (bits - 1) // 4
     leaves A >= b**2, hence s' >= b and q <= b: that bound is the
     normalization which keeps the remainder above -2s, so one correction
@@ -203,7 +285,8 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     l = (n.bit_length() - 1) >> 2
     mask = (1 << l) - 1
     s, r = _sqrtrem(n >> 2 * l)
-    q, u = divmod((r << l) | (n >> l & mask), s << 1)
+    num, den = (r << l) | (n >> l & mask), s << 1
+    q, u = divmod(num, den) if l <= DIV_LEAF_BITS else _divmod(num, den)
     s = (s << l) + q
     r = (u << l) + (n & mask) - q * q
     if r < 0:
@@ -214,8 +297,7 @@ def _sqrtrem(n: int) -> tuple[int, int]:
 
 def max_fib_index_le(n: int) -> int:
     """The unique e with F_e <= n < F_{e+1}.  Requires n >= 1."""
-    if n < 1:
-        raise ZeckGodelError("no positive Fibonacci number is <= 0")
+    _check_natural(n, "a number bracketed by Fibonacci numbers", 1)
     if n <= 2:
         return n
     # F_e <= phi**e and log2(phi) < 0.6943, so an n longer than this lies
@@ -244,11 +326,19 @@ def fib_index_bound(n: int) -> int:
 
 
 def cantor_pair(x: int, y: int) -> int:
+    _check_natural(x, "a paired value")
+    _check_natural(y, "a paired value")
     return (x + y) * (x + y + 1) // 2 + x
 
 
 def cantor_unpair(p: int) -> tuple[int, int]:
-    """Inverse of cantor_pair, exact at any magnitude (integer square root, no floats).
+    """Inverse of cantor_pair, exact at any magnitude (integer square root, no floats)."""
+    _check_natural(p, "an unpaired value")
+    return _unpair(p)
+
+
+def _unpair(p: int) -> tuple[int, int]:
+    """cantor_unpair without the domain check, for callers holding a natural.
 
     With w = x + y, 8p + 1 = (2w + 1)**2 + 8x and 0 <= x <= w, so the root
     t of 8p + 1 is 2w + 1 or 2w + 2, and x comes off SqrtRem's remainder r
@@ -265,6 +355,5 @@ def zeck_length_bound(n: int) -> int:
     Computed as the largest Fibonacci index <= n rather than via real-valued
     logarithms; still a valid bound since supports live inside {1..e_max}.
     """
-    if n == 0:
-        return 0
-    return max_fib_index_le(n)
+    _check_natural(n, "a Zeckendorf-coded number")
+    return max_fib_index_le(n) if n else 0

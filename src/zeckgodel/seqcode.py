@@ -9,9 +9,9 @@ bignums for nested codes) and materialized to an exact integer only on
 demand and only below a configurable size threshold.
 
 Decoding unpairs each support index with an integer square root: the
-inline ``math.isqrt`` for ordinary supports, and numeric's ``cantor_unpair``
-on its Karatsuba square root once the top index passes SQRT_LEAF_BITS, as a
-proof code's does.
+inline ``math.isqrt`` for ordinary supports, and numeric's ``_unpair``
+(``cantor_unpair`` without its domain check) on its Karatsuba square root
+once the top index passes SQRT_LEAF_BITS, as a proof code's does.
 
 ``_splice_code`` encodes a list with every copy of one symbol replaced by
 a block, for the substitution layer, by shifting supports.  Item a at
@@ -43,7 +43,7 @@ from math import isqrt
 from collections.abc import Sequence
 
 from .errors import CodeTooLargeError, InvalidSupportError, NotSequenceCodeError
-from .numeric import SQRT_LEAF_BITS, cantor_unpair
+from .numeric import SQRT_LEAF_BITS, _unpair
 from .zeckendorf import fib_sum, is_valid_support, z_decode
 
 # Largest support index for which to_number will build the exact integer.
@@ -214,7 +214,7 @@ def _positions(c: SeqCode) -> list[int] | None:
             return None
         p = e >> 1
         if big:
-            a, i = cantor_unpair(p)
+            a, i = _unpair(p)
         else:
             # cantor_unpair(p), inlined like seq_encode's pairing
             w = (isqrt(8 * p + 1) - 1) >> 1

@@ -214,6 +214,11 @@ class Alphabet:
             emit[ctor] = (code, len(slots), first)
         object.__setattr__(self, "_sig", sig)
         object.__setattr__(self, "_emit", emit)
+        # equal alphabets have equal items and offset, hence equal hashes
+        object.__setattr__(self, "_hash", hash((frozenset(self.base.items()), self.offset)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def code_of(self, symbol: str) -> int:
         index = _var_index(symbol)

@@ -15,10 +15,10 @@ All arithmetic is exact integer arithmetic.
 
 A decode split costs four multiplications and no big division or square
 root: the high part's value comes from a reciprocal of the Lucas number L(k)
-cached per level and sized from the decode's bound n < F_{hi+1}
-(numeric.lucas_ratio), and sigma(a) = floor((a+1)/phi) from a fixed-point
-sqrt(5) truncated to a's size (numeric.sqrt5_fixed), with an exact square
-root only when the product lies too near an integer to round.
+cached per level and sized once per decode, for every part the decode can
+split at k (numeric.lucas_ratio), and sigma(a) = floor((a+1)/phi) from a
+fixed-point sqrt(5) truncated to a's size (numeric.sqrt5_fixed), with an
+exact square root only when the product lies too near an integer to round.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ def _split(indices: Sequence[int]) -> tuple[int, list[int], Sequence[int]]:
 
 def z_decode(n: int) -> tuple[int, ...]:
     """Zeckendorf support of n, indices in decreasing order."""
-    if n < 0:
-        raise InvalidSupportError("cannot decode a negative number")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidSupportError("only a natural number has a Zeckendorf support")
     out: list[int] = []
     if n:
         top = fib_index_bound(n)
-        _decode_into(n, top, 0, out, _leaf_table(top))
+        _decode_into(n, top, 0, out, _leaf_table(top), top)
     return tuple(out)
 
 
@@ -126,8 +126,12 @@ def _sigma(x: int, v: int, p: int) -> int:
     return (t - x) >> 1
 
 
-def _decode_into(n: int, hi: int, shift: int, out: list[int], table: list[int]) -> None:
-    """Append shift + e for each e in n's support, decreasing; 0 < n < F_{hi+1}."""
+def _decode_into(n: int, hi: int, shift: int, out: list[int], table: list[int], top: int) -> None:
+    """Append shift + e for each e in n's support, decreasing; 0 < n < F_{hi+1}.
+
+    top is the whole decode's bound.  A split at k has hi <= min(top, 2k),
+    so sizing k's reciprocal for that bound builds it once per decode.
+    """
     if hi <= len(table):
         # greedy: after picking F_e the remainder is < F_{e-1}, so no two
         # picked indices are consecutive
@@ -149,7 +153,7 @@ def _decode_into(n: int, hi: int, shift: int, out: list[int], table: list[int]) 
         # rest/L(k) < phi^2/sqrt(5).  That lies in (-0.171, 1.448), so with
         # the ratio's error below 2**-GUARD_BITS, n/L(k) + 3/8 rounds down to
         # a or a + 1.
-        v, w = lucas_ratio(n, k, hi)
+        v, w = lucas_ratio(n, k, min(top, 2 * k))
         a = (v + (3 << w - 3)) >> w
         x = a + 1
         p = x.bit_length() + GUARD_BITS
@@ -162,6 +166,6 @@ def _decode_into(n: int, hi: int, shift: int, out: list[int], table: list[int]) 
             high -= fk if _sigma(a, xs - s5, p) == sigma else fk + fk1
             a -= 1
     if a:
-        _decode_into(a, hi - k, shift + k, out, table)
+        _decode_into(a, hi - k, shift + k, out, table, top)
     if n > high:
-        _decode_into(n - high, k, shift, out, table)
+        _decode_into(n - high, k, shift, out, table, top)

@@ -237,6 +237,19 @@ def test_default_theory_is_shared_and_builds_its_axiom_tables_once(monkeypatch):
     assert sorted(reads) == sorted(name for name in default_theory().schemas if name in logic._TEMPLATES)
 
 
+def test_an_equal_alphabet_shares_the_theorys_axiom_tables():
+    from zeckgodel.syntax import load_alphabet
+
+    theory = TheoryConfig(schemas=frozenset({"eq_refl"}), extra_axioms=(Eq(Zero(), Succ(Zero())),))
+    built = _axioms(theory, DEFAULT_ALPHABET)
+    loaded = load_alphabet({"symbols": dict(DEFAULT_ALPHABET.base), "offset": DEFAULT_ALPHABET.offset})
+    assert loaded is not DEFAULT_ALPHABET
+    assert _axioms(theory, loaded) is built
+    assert list(theory.__dict__["_axioms"]) == [DEFAULT_ALPHABET]
+    other = shuffled_alphabet(5)
+    assert _axioms(theory, other) is not built and len(theory.__dict__["_axioms"]) == 2
+
+
 def test_prov_bounded_rejects_non_wff(mp_theory):
     with pytest.raises(NotWffCodeError):
         prov_bounded(seq_encode([9, 8]), 3, mp_theory)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zeckgodel
-from zeckgodel.errors import ZeckGodelError
+from zeckgodel.errors import InvalidSupportError, ZeckGodelError
 from zeckgodel.numeric import (
+    DIV_LEAF_BITS,
     GUARD_BITS,
     SQRT_LEAF_BITS,
+    _divmod,
     _fib_pair,
     _sqrtrem,
     cantor_pair,
@@ -120,6 +122,23 @@ def test_cantor_pair_injective_small():
     assert len(seen) == 201 * 201
 
 
+def test_numeric_entries_raise_domain_errors_on_values_that_are_not_naturals():
+    hostile = (-1, -(2**300), -(10**5000), 2.5, "3", None, [3], 3j)
+    entries = (fib, max_fib_index_le, cantor_unpair, zeck_length_bound, z_decode,
+               lambda v: cantor_pair(v, 2), lambda v: cantor_pair(2, v))
+    for value in hostile:
+        for entry in entries:
+            with pytest.raises(InvalidSupportError):
+                entry(value)
+    # zero is a natural but neither a Fibonacci index nor bracketed by them
+    for entry in (fib, max_fib_index_le):
+        with pytest.raises(InvalidSupportError):
+            entry(0)
+    assert zeck_length_bound(0) == 0 and z_decode(0) == () and cantor_unpair(0) == (0, 0)
+    # a bool is an int, as everywhere in the package
+    assert fib(True) == 1 and cantor_pair(True, False) == 2
+
+
 @given(st.integers(min_value=0), st.integers(min_value=0))
 def test_cantor_roundtrip_property(x, y):
     assert cantor_unpair(cantor_pair(x, y)) == (x, y)
@@ -161,6 +180,68 @@ def test_zeck_length_bound_dominates_support_size():
             raise AssertionError(f"bound violated at {n}")
 
 
+# --- the recursive quotient ------------------------------------------------
+
+def _assert_quotient(a, b):
+    assert _divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
+
+
+@pytest.fixture
+def quotients(monkeypatch):
+    """The quotient bit lengths of the kernels' calls to _divmod."""
+    import zeckgodel.numeric as numeric
+
+    seen = []
+
+    def recorded(a, b):
+        seen.append(a.bit_length() - b.bit_length())
+        return _divmod(a, b)
+
+    monkeypatch.setattr(numeric, "_divmod", recorded)
+    return seen
+
+
+def test_divmod_matches_the_builtin_on_random_operands():
+    rng = random.Random(3041)
+    # (divisor bits, quotient bits): under, at and past the leaf, balanced and lopsided
+    shapes = [(1, 50), (64, 5_000), (DIV_LEAF_BITS, DIV_LEAF_BITS), (DIV_LEAF_BITS + 1, DIV_LEAF_BITS + 1),
+              (3 * DIV_LEAF_BITS, 3 * DIV_LEAF_BITS), (7_777, 7_776), (40_000, 40_001), (100_003, 99_999)]
+    # quotients far shorter than the divisor, and far longer
+    shapes += [(60_000, DIV_LEAF_BITS + 1), (60_000, 10), (DIV_LEAF_BITS + 500, 60_000), (9_001, 47_000)]
+    for nbits, qbits in shapes:
+        for _ in range(3):
+            b = rng.getrandbits(nbits) | 1 << nbits - 1
+            _assert_quotient(rng.getrandbits(nbits + qbits), b)
+            _assert_quotient(rng.getrandbits(nbits - 1), b)  # a < b
+
+
+def test_divmod_at_every_bit_length_mod_64_around_the_leaf():
+    # the divisor's parity picks the padded halving, and the quotient's
+    # length picks the leaf at each level of the recursion
+    rng = random.Random(64)
+    for bits in range(DIV_LEAF_BITS - 66, DIV_LEAF_BITS + 67):
+        b = rng.getrandbits(bits) | 1 << bits - 1
+        _assert_quotient(rng.getrandbits(2 * bits), b)
+        long = rng.getrandbits(3 * DIV_LEAF_BITS) | 1 << 3 * DIV_LEAF_BITS - 1
+        _assert_quotient(rng.getrandbits(3 * DIV_LEAF_BITS + bits), long)
+    for bits in range(2 * DIV_LEAF_BITS - 66, 2 * DIV_LEAF_BITS + 67, 5):
+        b = rng.getrandbits(bits) | 1 << bits - 1
+        _assert_quotient(rng.getrandbits(2 * bits), b)
+
+
+def test_divmod_at_powers_of_two_and_exact_multiples():
+    rng = random.Random(65)
+    for k in (DIV_LEAF_BITS, DIV_LEAF_BITS + 1, 2 * DIV_LEAF_BITS + 3, 10_000, 16_384):
+        for b in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            # the largest dividend the halving takes, then a random one and a power of two
+            for a in ((b << b.bit_length()) - 1, rng.getrandbits(2 * k), 1 << 2 * k + 7, (1 << 2 * k) - 1):
+                _assert_quotient(a, b)
+        b = rng.getrandbits(k) | 1 << k - 1
+        for q in (1 << k, (1 << k) - 1, rng.getrandbits(k + 9), rng.getrandbits(4 * k)):
+            for a in (q * b - 1, q * b, q * b + 1, q * b + b - 1):
+                _assert_quotient(a, b)
+
+
 # --- the Karatsuba square root and the cached fixed-point values -----------
 
 def _assert_root(n):
@@ -187,6 +268,16 @@ def test_sqrtrem_at_every_bit_length_mod_4_around_the_leaf():
         top = 1 << bits - 1
         for n in (top, 2 * top - 1, top | rng.getrandbits(bits - 1), top | top >> 1 | rng.getrandbits(bits - 2)):
             _assert_root(n)
+
+
+def test_sqrtrem_at_every_bit_length_mod_4_around_the_quotient_leaf(quotients):
+    # an operand of 4 * DIV_LEAF_BITS bits has a top division of about DIV_LEAF_BITS quotient bits
+    rng = random.Random(5)
+    for bits in range(4 * DIV_LEAF_BITS - 12, 4 * DIV_LEAF_BITS + 13):
+        top = 1 << bits - 1
+        for n in (top, 2 * top - 1, top | rng.getrandbits(bits - 1)):
+            _assert_root(n)
+    assert max(quotients) > DIV_LEAF_BITS
 
 
 def test_sqrtrem_on_squares_and_powers_of_two():
@@ -216,10 +307,12 @@ def test_cantor_unpair_and_positions_match_the_oracle_across_the_leaf():
         assert _positions(SeqCode(tuple(sorted((*c.support, e), reverse=True)))) is None
 
 
-def test_cantor_unpair_reads_both_root_parities_off_the_remainder():
-    # x = 0 makes the root of 8p + 1 odd, x = w even; the sizes of p straddle the leaf
+def test_cantor_unpair_reads_both_root_parities_off_the_remainder(quotients):
+    # x = 0 makes the root of 8p + 1 odd, x = w even; the sizes of p straddle
+    # the root's leaf and, at four times the quotient's leaf, that one too
     rng = random.Random(78)
-    sizes = [1, 2, 3, 10, 64, *range(SQRT_LEAF_BITS - 8, SQRT_LEAF_BITS + 8), 5_000, 30_000, 100_000]
+    sizes = [1, 2, 3, 10, 64, *range(SQRT_LEAF_BITS - 8, SQRT_LEAF_BITS + 8), 5_000, 30_000, 100_000,
+             *range(4 * DIV_LEAF_BITS - 6, 4 * DIV_LEAF_BITS + 7)]
     for bits in sizes:
         w = rng.getrandbits(bits // 2 + 1) | 1
         for x, parity in ((0, 1), (w, 0)):
@@ -228,11 +321,15 @@ def test_cantor_unpair_reads_both_root_parities_off_the_remainder():
             assert cantor_unpair(p) == unpair_oracle(p) == (x, w - x), bits
         p = rng.getrandbits(bits)
         assert cantor_unpair(p) == unpair_oracle(p), bits
+    assert max(quotients) > DIV_LEAF_BITS
 
 
-def test_lucas_ratio_is_within_the_guard_below_the_ratio():
+def test_lucas_ratio_is_within_the_guard_below_the_ratio(quotients, monkeypatch):
+    import zeckgodel.numeric as numeric
+
+    monkeypatch.setattr(numeric, "_split_recips", {})
     rng = random.Random(21)
-    for m in (2, 4, 64, 1 << 10, 1 << 14, 1 << 15):
+    for m in (2, 4, 64, 1 << 10, 1 << 14, 1 << 15, 1 << 16):
         fm, _, fm2 = split_fibs(m)
         lucas = fm + fm2
         # rising sizes rebuild the cached reciprocal; the last reads a truncation of it
@@ -242,6 +339,8 @@ def test_lucas_ratio_is_within_the_guard_below_the_ratio():
             # n/L - 2^-GUARD < v / 2^w <= n/L, in integers
             assert v * lucas <= n << w
             assert (v << GUARD_BITS) * lucas + (lucas << w) > n << w + GUARD_BITS
+    # the larger reciprocals were quotients past the leaf
+    assert max(quotients) > DIV_LEAF_BITS
 
 
 def test_sqrt5_fixed_is_the_floor_at_every_precision():

@@ -199,6 +199,8 @@ def test_predicates_are_total_on_values_that_are_not_naturals():
             as_code(value)
         with pytest.raises(InvalidSupportError):
             seq_decode(value)
+        with pytest.raises(InvalidSupportError):
+            from_number(value)  # its check is z_decode's
     # a bool is an int, as in seq_encode: False codes the empty sequence
     assert as_code(True).support == (1,) and not is_code(True)
     assert is_code(False) and seq_decode(False) == []

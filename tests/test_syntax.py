@@ -111,6 +111,18 @@ def test_load_alphabet(tmp_path):
         load_alphabet({"symbols": {}, "offset": 2})
 
 
+def test_equal_alphabets_hash_equal_and_serve_as_keys():
+    same = load_alphabet({"symbols": {g: c for g, c in reversed(DEFAULT_ALPHABET.base.items())}, "offset": 16})
+    other = shuffled_alphabet(3)
+    assert same == DEFAULT_ALPHABET and same is not DEFAULT_ALPHABET
+    assert hash(same) == hash(DEFAULT_ALPHABET)
+    assert {DEFAULT_ALPHABET, same, other} == {DEFAULT_ALPHABET, other}
+    assert {DEFAULT_ALPHABET: 1, other: 2}[same] == 1
+    # the same codes under another offset is another alphabet
+    moved = Alphabet(base=dict(DEFAULT_ALPHABET.base), offset=17)
+    assert moved != DEFAULT_ALPHABET and moved not in {DEFAULT_ALPHABET, other}
+
+
 def test_flatten_examples():
     assert flatten(Eq(Zero(), Zero())) == ["=", "0", "0"]
     assert flatten(Forall(0, Eq(Var(0), Var(0)))) == ["∀", "v0", "=", "v0", "v0"]

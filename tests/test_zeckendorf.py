@@ -308,21 +308,41 @@ def test_the_table_grows_to_the_largest_top_seen():
         assert len(numeric._fib_table) == min(seen, cap)
 
 
+class _CountingRecips(dict):
+    """numeric._split_recips, counting the reciprocals built at each level."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = Counter()
+
+    def __setitem__(self, m, value):
+        self.builds[m] += 1
+        super().__setitem__(m, value)
+
+
 def test_a_cold_decode_builds_each_split_reciprocal_once(monkeypatch):
-    builds = Counter()
-
-    class Counting(dict):
-        def __setitem__(self, m, value):
-            builds[m] += 1
-            super().__setitem__(m, value)
-
     # a top index of 2^17 with a random rest: each level below the top split
     # reads a high part and then a low part, often the longer of the two
     k = 1 << 17
     rng = random.Random(1)
     for _ in range(3):
-        monkeypatch.setattr(numeric, "_split_recips", Counting())
-        builds.clear()
+        monkeypatch.setattr(numeric, "_split_recips", recips := _CountingRecips())
         n = fib(k) + rng.getrandbits(fib(k - 1).bit_length() - 1)
         assert z_decode(n)[0] == k
-        assert builds and set(builds.values()) == {1}, builds
+        assert recips.builds and set(recips.builds.values()) == {1}, recips.builds
+
+
+def test_a_level_reached_by_a_high_chain_and_a_low_part_builds_once(monkeypatch):
+    # a one-shot 40-bit (= n n) decode (top bound 158,039, table at 2^10)
+    # reaches levels such as 2^11 first down the high part's chain, with a
+    # residual bound between k and 2k, and later through a low part with 2k
+    from zeckgodel.syntax import Eq, encode_syntax, numeral
+
+    for n in (2**40 - 77, 2**40 - 1, 3**25):
+        c = encode_syntax(Eq(numeral(n), numeral(n)))
+        value = to_number(c)
+        _table_of(2)
+        monkeypatch.setattr(numeric, "_split_recips", recips := _CountingRecips())
+        assert z_decode(value) == c.support
+        assert len(numeric._fib_table) == 1 << 10
+        assert len(recips.builds) > 5 and set(recips.builds.values()) == {1}, recips.builds
